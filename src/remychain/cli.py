@@ -18,14 +18,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import didendritic, ensembles, kernel, remy, stats, trees
-from .rng import make_rng, split_rng
+from .rng import Rng, make_rng, split_rng
 
 ENV_SEED = "REMYCHAIN_SEED"
 
@@ -50,7 +50,6 @@ class ExperimentRecord:
     seed: int | None
     outputs: dict[str, Any]
     replica: int | None = None
-    wall_time_s: float = field(default=0.0, compare=False)
 
     def payload(self) -> dict[str, Any]:
         body: dict[str, Any] = {
@@ -125,72 +124,54 @@ def _parse_labeled_arg(text: str) -> trees.LabeledBinaryTree:
 # Command implementations
 
 
-def cmd_chain(args) -> int:
+def _replicas(
+    args, command: str, params: dict[str, Any], draw: Callable[[Rng], dict[str, Any]]
+) -> int:
+    """Emit one record of draw(rng) per replica, each on its own seeded stream."""
     seed = _resolve_seed(args)
-    streams = split_rng(make_rng(seed), args.reps)
-    for r, rng in enumerate(streams):
-        t = remy.remy_chain(args.n, rng)
-        rec = ExperimentRecord(
-            "chain",
-            {"n": args.n, "reps": args.reps},
-            seed,
-            {"tree": trees.encode_tree(t)},
-            replica=r,
-        )
-        _emit(rec, args.pretty)
+    params = {**params, "reps": args.reps}
+    for r, rng in enumerate(split_rng(make_rng(seed), args.reps)):
+        try:
+            outputs = draw(rng)
+        except remy.RetryLimitError as e:
+            print(f"sampling failed: {e}", file=sys.stderr)
+            return EXIT_INVARIANT
+        _emit(ExperimentRecord(command, params, seed, outputs, replica=r), args.pretty)
     return EXIT_OK
+
+
+def cmd_chain(args) -> int:
+    def draw(rng: Rng) -> dict[str, Any]:
+        return {"tree": trees.encode_tree(remy.remy_chain(args.n, rng))}
+
+    return _replicas(args, "chain", {"n": args.n}, draw)
 
 
 def cmd_bridge(args) -> int:
-    seed = _resolve_seed(args)
     target = _parse_tree_arg(args.target)
-    streams = split_rng(make_rng(seed), args.reps)
-    for r, rng in enumerate(streams):
-        path = remy.finite_bridge(target, rng)
-        rec = ExperimentRecord(
-            "bridge",
-            {"target": trees.encode_tree(target), "reps": args.reps},
-            seed,
-            {"path": [trees.encode_tree(t) for t in path]},
-            replica=r,
-        )
-        _emit(rec, args.pretty)
-    return EXIT_OK
+
+    def draw(rng: Rng) -> dict[str, Any]:
+        return {"path": [trees.encode_tree(t) for t in remy.finite_bridge(target, rng)]}
+
+    return _replicas(args, "bridge", {"target": trees.encode_tree(target)}, draw)
 
 
 def cmd_spine(args) -> int:
-    seed = _resolve_seed(args)
-    streams = split_rng(make_rng(seed), args.reps)
-    for r, rng in enumerate(streams):
+    def draw(rng: Rng) -> dict[str, Any]:
         state = remy.spine_chain(args.n, rng)
-        rec = ExperimentRecord(
-            "spine",
-            {"n": args.n, "reps": args.reps},
-            seed,
-            {
-                "tosses": "".join(str(b) for b in state.tosses),
-                "tree": trees.encode_tree(remy.spine_tree(state)),
-            },
-            replica=r,
-        )
-        _emit(rec, args.pretty)
-    return EXIT_OK
+        return {
+            "tosses": "".join(str(b) for b in state.tosses),
+            "tree": trees.encode_tree(remy.spine_tree(state)),
+        }
+
+    return _replicas(args, "spine", {"n": args.n}, draw)
 
 
 def cmd_dyadic(args) -> int:
-    seed = _resolve_seed(args)
-    streams = split_rng(make_rng(seed), args.reps)
-    for r, rng in enumerate(streams):
-        t = remy.dyadic_bridge_sample(args.n, rng)
-        rec = ExperimentRecord(
-            "dyadic",
-            {"n": args.n, "reps": args.reps},
-            seed,
-            {"tree": trees.encode_tree(t)},
-            replica=r,
-        )
-        _emit(rec, args.pretty)
-    return EXIT_OK
+    def draw(rng: Rng) -> dict[str, Any]:
+        return {"tree": trees.encode_tree(remy.dyadic_bridge_sample(args.n, rng))}
+
+    return _replicas(args, "dyadic", {"n": args.n}, draw)
 
 
 def cmd_kernel(args) -> int:
@@ -350,48 +331,23 @@ def _build_ensemble(args, rng) -> ensembles.Ensemble:
 
 
 def cmd_ensemble_sample(args) -> int:
-    seed = _resolve_seed(args)
-    root = make_rng(seed)
-    ens = _build_ensemble(args, root)
-    params = {
-        "kind": args.kind,
-        "m": args.m,
-        "reps": args.reps,
-        "grid": args.grid,
-        "dyck_n": args.dyck_n,
-    }
-    streams = split_rng(root, args.reps)
-    for r, rng in enumerate(streams):
-        try:
-            lt = ensembles.sample_didendritic(ens, args.m, rng)
-        except ensembles.RetryLimitError as e:
-            print(f"sampling failed: {e}", file=sys.stderr)
-            return EXIT_INVARIANT
-        rec = ExperimentRecord(
-            "ensemble-sample",
-            params,
-            seed,
-            {"tree": trees.encode_labeled_tree(lt)},
-            replica=r,
-        )
-        _emit(rec, args.pretty)
-    return EXIT_OK
+    # Replica streams are spawned from the seed, untouched by the draws that
+    # build the ensemble from a generator of the same seed.
+    ens = _build_ensemble(args, make_rng(_resolve_seed(args)))
+
+    def draw(rng: Rng) -> dict[str, Any]:
+        lt = ensembles.sample_didendritic(ens, args.m, rng)
+        return {"tree": trees.encode_labeled_tree(lt)}
+
+    params = {"kind": args.kind, "m": args.m, "grid": args.grid, "dyck_n": args.dyck_n}
+    return _replicas(args, "ensemble-sample", params, draw)
 
 
 def cmd_dyck(args) -> int:
-    seed = _resolve_seed(args)
-    streams = split_rng(make_rng(seed), args.reps)
-    for r, rng in enumerate(streams):
-        grid = ensembles.random_dyck_path(args.n, rng)
-        rec = ExperimentRecord(
-            "dyck",
-            {"n": args.n, "reps": args.reps},
-            seed,
-            {"grid": ensembles.format_grid(grid)},
-            replica=r,
-        )
-        _emit(rec, args.pretty)
-    return EXIT_OK
+    def draw(rng: Rng) -> dict[str, Any]:
+        return {"grid": ensembles.format_grid(ensembles.random_dyck_path(args.n, rng))}
+
+    return _replicas(args, "dyck", {"n": args.n}, draw)
 
 
 def _hierarchy_json(node: ensembles.Hierarchy) -> dict[str, Any]:
@@ -487,6 +443,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="remychain", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -496,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=None)
         if reps:
-            p.add_argument("--reps", type=int, default=1)
+            p.add_argument("--reps", type=_positive_int, default=1)
 
     p = sub.add_parser("chain", help="run the growth chain")
     p.add_argument("--n", type=int, required=True, help="final level (n+1 leaves)")

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .trees import BinaryTree, LabeledBinaryTree, Vertex, validate_tree
+from .trees import LabeledBinaryTree, Vertex, _common_prefix_len, validate_tree
 
 _SLOT_LETTERS = "abc"
 
@@ -87,19 +87,10 @@ def triple_type(lt: LabeledBinaryTree, i: int, j: int, k: int) -> TripleType:
     return _classify_words(words)
 
 
-def _lcp_len(u: Vertex, v: Vertex) -> int:
-    k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
 def _classify_words(words: Sequence[Vertex]) -> TripleType:
     """TripleType of three leaf words, slots following their given order."""
     pairs = [(0, 1), (0, 2), (1, 2)]
-    depths = [_lcp_len(words[a], words[b]) for a, b in pairs]
+    depths = [_common_prefix_len(words[a], words[b]) for a, b in pairs]
     deepest = max(range(3), key=lambda idx: depths[idx])
     x, y = pairs[deepest]
     outer = ({0, 1, 2} - {x, y}).pop()

@@ -25,12 +25,10 @@ import numpy as np
 
 from . import didendritic
 from .didendritic import DidendriticArray, TripleType
-from .remy import RetryLimitError
+from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
-from .trees import BinaryTree, HarrisPath, LabeledBinaryTree
+from .trees import HarrisPath, LabeledBinaryTree
 
-DEFAULT_RETRY_CAP = 100
-DYADIC_BIT_CAP = 64
 ULTRAMETRIC_TOL = 1e-9
 
 

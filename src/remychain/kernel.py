@@ -12,6 +12,7 @@ conditioned dynamics below.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .trees import (
     Vertex,
     catalan,
     enumerate_trees,
-    validate_tree,
+    _common_prefix_len,
     word_str,
 )
 
@@ -35,24 +36,20 @@ MAX_COMPLETE_DEPTH = 16
 
 def double_factorial_odd(m: int) -> int:
     """1 * 3 * ... * (2m-1); equals 1 when m = 0."""
-    out = 1
-    for k in range(1, m + 1):
-        out *= 2 * k - 1
-    return out
+    return math.prod(range(1, 2 * m, 2))
 
 
 @lru_cache(maxsize=None)
 def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
     """Number of order-preserving leaf-to-leaf embeddings of s into t.
 
-    Two-table recursion over vertex pairs: g(u, v) counts embeddings of the
-    subtree at u whose root lands exactly on v, and h(u, v) counts those
-    landing on v or anywhere below it.
+    Recursion over vertex pairs: h(u, v) counts embeddings of the subtree at
+    u whose root lands on v or anywhere below it.  Those landing exactly on
+    v pair the left and right subtrees of u with those of v.
     """
     if s.n_leaves > t.n_leaves:
         return 0
 
-    g: dict[tuple[Vertex, Vertex], int] = {}
     h: dict[tuple[Vertex, Vertex], int] = {}
 
     s_words, t_words = s.words, t.words
@@ -69,7 +66,6 @@ def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
             exact = 0
         else:
             exact = compute(u + (0,), v + (0,)) * compute(u + (1,), v + (1,))
-        g[key] = exact
         total = exact
         if v_internal:
             total += compute(u, v + (0,)) + compute(u, v + (1,))
@@ -77,6 +73,29 @@ def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
         return total
 
     return compute(ROOT, ROOT)
+
+
+def span_words(words: Sequence[Sequence[int]]) -> tuple[BinaryTree, list[Vertex]]:
+    """Plane tree spanned by nonempty, distinct, prefix-free bit words.
+
+    Each group of words is split on the first bit where its members differ.
+    Returns the tree and, for each word in order, the leaf it becomes.
+    """
+    leaf_of: list[Vertex] = [ROOT] * len(words)
+    tree_words: set[Vertex] = set()
+    stack = [(list(range(len(words))), 0, ROOT)]
+    while stack:
+        group, d, prefix = stack.pop()
+        tree_words.add(prefix)
+        if len(group) == 1:
+            leaf_of[group[0]] = prefix
+            continue
+        first = words[group[0]]
+        while all(words[i][d] == first[d] for i in group):
+            d += 1
+        stack.append(([i for i in group if words[i][d] == 1], d + 1, prefix + (1,)))
+        stack.append(([i for i in group if words[i][d] == 0], d + 1, prefix + (0,)))
+    return BinaryTree(frozenset(tree_words)), leaf_of
 
 
 def spanned_subtree_with_map(
@@ -93,26 +112,8 @@ def spanned_subtree_with_map(
     for v in chosen:
         if v not in t.words or v + (0,) in t.words:
             raise ValueError(f"{word_str(v)} is not a leaf of t")
-
-    words: set[Vertex] = set()
-    mapping: dict[Vertex, Vertex] = {}
-
-    def build(group: Sequence[Vertex], depth: int, prefix: Vertex) -> None:
-        words.add(prefix)
-        if len(group) == 1:
-            mapping[group[0]] = prefix
-            return
-        # advance past the common prefix of the group, then split on the bit
-        d = depth
-        while all(w[d] == group[0][d] for w in group):
-            d += 1
-        left = [w for w in group if w[d] == 0]
-        right = [w for w in group if w[d] == 1]
-        build(left, d + 1, prefix + (0,))
-        build(right, d + 1, prefix + (1,))
-
-    build(chosen, 0, ROOT)
-    return validate_tree(words), mapping
+    shape, leaf_of = span_words(chosen)
+    return shape, dict(zip(chosen, leaf_of))
 
 
 def spanned_subtree(t: BinaryTree, leaf_set: Iterable[Vertex]) -> BinaryTree:
@@ -157,12 +158,7 @@ def enumerate_embeddings(s: BinaryTree, t: BinaryTree) -> list[Embedding]:
             below = [leaf_to_t[w] for w in s.leaves if w[: len(u)] == u]
             common = below[0]
             for w in below[1:]:
-                k = 0
-                for a, b in zip(common, w):
-                    if a != b:
-                        break
-                    k += 1
-                common = common[:k]
+                common = common[: _common_prefix_len(common, w)]
             pairs[u] = common
         out.append(Embedding(tuple(sorted(pairs.items()))))
     return out
@@ -183,13 +179,8 @@ def _check_growth_pair(s: BinaryTree, t: BinaryTree) -> tuple[int, int]:
 def transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
     """P{chain visits t at time level(t) | it is at s at time level(s)}."""
     m, n = _check_growth_pair(s, t)
-    denom = 1
-    for j in range(m, m + n):
-        denom *= 2 * j + 1
-    p = Fraction(1, denom) / 2**n
-    for k in range(1, n + 1):
-        p *= k
-    return p * count_embeddings(s, t)
+    denom = 2**n * math.prod(range(2 * m + 1, 2 * (m + n), 2))
+    return Fraction(math.factorial(n), denom) * count_embeddings(s, t)
 
 
 def martin_kernel(s: BinaryTree, t: BinaryTree) -> Fraction:
@@ -199,12 +190,8 @@ def martin_kernel(s: BinaryTree, t: BinaryTree) -> Fraction:
     avoids the factorials.  K(ALEPH, t) = 1 for every t.
     """
     m, n = _check_growth_pair(s, t)
-    denom = 1
-    for j in range(n + 1, m + n + 2):
-        denom *= j
-    return (
-        Fraction(2**m * double_factorial_odd(m), denom) * count_embeddings(s, t)
-    )
+    denom = math.prod(range(n + 1, m + n + 2))
+    return Fraction(2**m * double_factorial_odd(m), denom) * count_embeddings(s, t)
 
 
 def kernel_identity_check(
@@ -252,12 +239,12 @@ def kappa_shape_prob(s: BinaryTree) -> Fraction:
     m = s.level
     if m < 1:
         raise ValueError("need at least two leaves")
-    prob = Fraction(1, 2**m)
-    for k in range(2, m + 2):
-        prob *= k
-    for v in s.internal:
-        prob /= 2 ** (s.leaves_below(v) - 1) - 1
-    return prob
+    return Fraction(math.factorial(m + 1), 2**m * _split_product(s))
+
+
+def _split_product(s: BinaryTree) -> int:
+    """prod_v (2^{#s(v)-1} - 1) over the internal vertices v of s."""
+    return math.prod(2 ** (s.leaves_below(v) - 1) - 1 for v in s.internal)
 
 
 def kernel_limit_complete(s: BinaryTree) -> Fraction:
@@ -274,10 +261,7 @@ def harmonic_h_complete(s: BinaryTree) -> Fraction:
     m = s.level
     if m < 1:
         raise ValueError("need at least two leaves")
-    h = Fraction(double_factorial_odd(m))
-    for v in s.internal:
-        h /= 2 ** (s.leaves_below(v) - 1) - 1
-    return h
+    return Fraction(double_factorial_odd(m), _split_product(s))
 
 
 def check_harmonic(
@@ -336,14 +320,13 @@ def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
 
 def h_transform_step_law(s: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step law of h_transform_step_complete."""
-    from .remy import apply_forward_move
+    from .remy import _aggregate, apply_forward_move
 
-    law: dict[BinaryTree, Fraction] = {}
-    for v, w in h_transform_weights(s).items():
-        for side in (0, 1):
-            t = apply_forward_move(s, v, side)
-            law[t] = law.get(t, Fraction(0)) + w / 2
-    return law
+    return _aggregate(
+        (apply_forward_move(s, v, side), w / 2)
+        for v, w in h_transform_weights(s).items()
+        for side in (0, 1)
+    )
 
 
 def h_transform_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
@@ -356,10 +339,4 @@ def h_transform_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
         raise ValueError("t must have exactly one more leaf than s")
     if s.level < 1:
         raise ValueError("need at least two leaves")
-    num = 1
-    for u in s.internal:
-        num *= 2 ** (s.leaves_below(u) - 1) - 1
-    den = 1
-    for v in t.internal:
-        den *= 2 ** (t.leaves_below(v) - 1) - 1
-    return Fraction(num, 2 * den) * count_embeddings(s, t)
+    return Fraction(_split_product(s), 2 * _split_product(t)) * count_embeddings(s, t)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
-from .kernel import count_embeddings
+from .kernel import count_embeddings, span_words
 from .rng import Rng
 from .trees import (
     ALEPH,
@@ -29,6 +29,8 @@ from .trees import (
     validate_tree,
     word_str,
 )
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -72,29 +74,37 @@ def remy_chain(n: int, rng: Rng) -> BinaryTree:
     return t
 
 
+def _aggregate(outcomes: Iterable[tuple[T, Fraction]]) -> dict[T, Fraction]:
+    """Law of the outcomes, summing the weights of repeated ones."""
+    law: dict[T, Fraction] = {}
+    for u, p in outcomes:
+        law[u] = law.get(u, Fraction(0)) + p
+    return law
+
+
+def _propagate(
+    law: dict[T, Fraction], step_law: Callable[[T], dict[T, Fraction]], steps: int
+) -> dict[T, Fraction]:
+    """Push `law` through `steps` transitions of the one-step law `step_law`."""
+    for _ in range(steps):
+        law = _aggregate(
+            (u, p * q) for t, p in law.items() for u, q in step_law(t).items()
+        )
+    return law
+
+
 def forward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step distribution, aggregating the 2(2n+1) moves."""
     moves = forward_moves(t)
     p = Fraction(1, len(moves))
-    law: dict[BinaryTree, Fraction] = {}
-    for v, side in moves:
-        u = apply_forward_move(t, v, side)
-        law[u] = law.get(u, Fraction(0)) + p
-    return law
+    return _aggregate((apply_forward_move(t, v, side), p) for v, side in moves)
 
 
 def chain_push_forward(n: int) -> dict[BinaryTree, Fraction]:
     """Exact law of the chain at n+1 leaves, propagated from the start."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    law = {ALEPH: Fraction(1)}
-    for _ in range(n - 1):
-        nxt: dict[BinaryTree, Fraction] = {}
-        for t, pt in law.items():
-            for u, q in forward_step_law(t).items():
-                nxt[u] = nxt.get(u, Fraction(0)) + pt * q
-        law = nxt
-    return law
+    return _propagate({ALEPH: Fraction(1)}, forward_step_law, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +154,14 @@ def labeled_forward_step_law(
 ) -> dict[LabeledBinaryTree, Fraction]:
     moves = forward_moves(lt.tree)
     p = Fraction(1, len(moves))
-    law: dict[LabeledBinaryTree, Fraction] = {}
-    for v, side in moves:
-        u = apply_labeled_move(lt, v, side)
-        law[u] = law.get(u, Fraction(0)) + p
-    return law
+    return _aggregate((apply_labeled_move(lt, v, side), p) for v, side in moves)
 
 
 def labeled_chain_push_forward(n: int) -> dict[LabeledBinaryTree, Fraction]:
     if n < 1:
         raise ValueError("n must be at least 1")
     law = {ALEPH_LABELED[0]: Fraction(1, 2), ALEPH_LABELED[1]: Fraction(1, 2)}
-    for _ in range(n - 1):
-        nxt: dict[LabeledBinaryTree, Fraction] = {}
-        for lt, pt in law.items():
-            for u, q in labeled_forward_step_law(lt).items():
-                nxt[u] = nxt.get(u, Fraction(0)) + pt * q
-        law = nxt
-    return law
+    return _propagate(law, labeled_forward_step_law, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +198,7 @@ def backward_step(t: BinaryTree, rng: Rng) -> BinaryTree:
 def backward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
     leaves = backward_moves(t)
     p = Fraction(1, len(leaves))
-    law: dict[BinaryTree, Fraction] = {}
-    for leaf in leaves:
-        s = apply_backward_move(t, leaf)
-        law[s] = law.get(s, Fraction(0)) + p
-    return law
+    return _aggregate((apply_backward_move(t, leaf), p) for leaf in leaves)
 
 
 def backward_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
@@ -265,14 +261,7 @@ def bridge_marginal_law(target: BinaryTree, k: int) -> dict[BinaryTree, Fraction
     """Exact law of the bridge at k+1 leaves, by backward propagation."""
     if not 1 <= k <= target.level:
         raise ValueError("k out of range")
-    law = {target: Fraction(1)}
-    for _ in range(target.level - k):
-        nxt: dict[BinaryTree, Fraction] = {}
-        for t, pt in law.items():
-            for s, q in backward_step_law(t).items():
-                nxt[s] = nxt.get(s, Fraction(0)) + pt * q
-        law = nxt
-    return law
+    return _propagate({target: Fraction(1)}, backward_step_law, target.level - k)
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +336,22 @@ def dyadic_bridge_sample(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    streams = [_fresh_stream(rng, bit_cap) for _ in range(n + 1)]
+
+    def draw() -> tuple[int, ...]:
+        return tuple(rng.integers(0, 2, size=bit_cap).tolist())
+
+    streams = [draw() for _ in range(n + 1)]
     retries = 0
     while True:
-        clash = _find_identical_pair(streams, bit_cap)
+        # redraw the first stream that repeats an earlier one
+        first: dict[tuple[int, ...], int] = {}
+        clash = next(
+            (i for i, s in enumerate(streams) if first.setdefault(s, i) != i), None
+        )
         if clash is None:
             break
         retries += 1
         if retries > retry_cap:
             raise RetryLimitError("stream collisions persist past the retry cap")
-        streams[clash] = _fresh_stream(rng, bit_cap)
-    return _induced_tree(streams, 0)
-
-
-def _fresh_stream(rng: Rng, bit_cap: int) -> list[int]:
-    return list(map(int, rng.integers(0, 2, size=bit_cap)))
-
-
-def _find_identical_pair(streams: list[list[int]], bit_cap: int) -> int | None:
-    seen: dict[tuple[int, ...], int] = {}
-    for i, s in enumerate(streams):
-        key = tuple(s[:bit_cap])
-        if key in seen:
-            return i
-        seen[key] = i
-    return None
-
-
-def _induced_tree(streams: list[list[int]], depth: int) -> BinaryTree:
-    if len(streams) == 1:
-        return BinaryTree(frozenset({ROOT}))
-    left = [s for s in streams if s[depth] == 0]
-    right = [s for s in streams if s[depth] == 1]
-    if not left or not right:
-        return _induced_tree(streams, depth + 1)
-    lt = _induced_tree(left, depth + 1)
-    rt = _induced_tree(right, depth + 1)
-    words = {ROOT}
-    words.update((0,) + w for w in lt.words)
-    words.update((1,) + w for w in rt.words)
-    return BinaryTree(frozenset(words))
+        streams[clash] = draw()
+    return span_words(streams)[0]

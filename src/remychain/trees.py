@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Vertex = tuple[int, ...]
 
@@ -167,12 +167,17 @@ def mrca(t: BinaryTree, u: Vertex, v: Vertex) -> Vertex:
         raise KeyError(f"{word_str(u)} is not a vertex")
     if v not in t.words:
         raise KeyError(f"{word_str(v)} is not a vertex")
+    return u[: _common_prefix_len(u, v)]
+
+
+def _common_prefix_len(u: Vertex, v: Vertex) -> int:
+    """Length of the longest common prefix of two words."""
     k = 0
     for a, b in zip(u, v):
         if a != b:
             break
         k += 1
-    return u[:k]
+    return k
 
 
 class Order(Enum):
@@ -200,10 +205,6 @@ def order_query(t: BinaryTree, u: Vertex, v: Vertex) -> Order:
     if u[: len(v)] == v:
         return Order.DESCENDANT_LEFT if u[len(v)] == 0 else Order.DESCENDANT_RIGHT
     return Order.INCOMPARABLE
-
-
-def leaves_lex(t: BinaryTree) -> tuple[Vertex, ...]:
-    return t.leaves
 
 
 # ---------------------------------------------------------------------------
@@ -288,40 +289,69 @@ def harris_tree(path: HarrisPath) -> BinaryTree:
 # Text encodings
 
 
+def _encode(t: BinaryTree, leaf_token: Callable[[Vertex], str]) -> str:
+    """Parenthesis walk in preorder; an internal vertex wraps its two kids."""
+    words = t.words
+    out: list[str] = []
+    stack: list[Vertex | None] = [ROOT]  # None stands for an internal vertex's ')'
+    while stack:
+        v = stack.pop()
+        if v is None:
+            out.append(")")
+            continue
+        left = v + (0,)
+        if left in words:
+            out.append("(")
+            stack += (None, v + (1,), left)
+        else:
+            out.append(leaf_token(v))
+    return "".join(out)
+
+
+def _decode(text: str, labeled: bool) -> tuple[set[Vertex], dict[Vertex, int]]:
+    """Parse a parenthesis encoding into its vertex words and leaf labels.
+
+    Unlabeled leaves are '()', labeled ones '(k)' with k a decimal label.
+    """
+    words: set[Vertex] = set()
+    labels: dict[Vertex, int] = {}
+    pos, end = 0, len(text)
+    stack: list[Vertex | None] = [ROOT]  # vertices to parse, None for a ')'
+    while stack:
+        v = stack.pop()
+        if v is None:
+            if pos >= end or text[pos] != ")":
+                raise ParseError(f"expected ')' at position {pos}")
+            pos += 1
+            continue
+        if pos >= end or text[pos] != "(":
+            raise ParseError(f"expected '(' at position {pos}")
+        pos += 1
+        words.add(v)
+        if labeled and pos < end and text[pos].isdigit():
+            start = pos
+            while pos < end and text[pos].isdigit():
+                pos += 1
+            labels[v] = int(text[start:pos])
+            stack.append(None)
+        elif pos < end and text[pos] == ")":
+            if labeled:
+                raise ParseError(f"leaf at position {pos} is missing a label")
+            pos += 1
+        else:
+            stack += [None, v + (1,), v + (0,)]
+    if pos != end:
+        raise ParseError(f"trailing characters at position {pos}")
+    return words, labels
+
+
 def encode_tree(t: BinaryTree) -> str:
     """Balanced parentheses: a leaf is '()', an internal vertex wraps its kids."""
-
-    def enc(v: Vertex) -> str:
-        if v + (0,) in t.words:
-            return "(" + enc(v + (0,)) + enc(v + (1,)) + ")"
-        return "()"
-
-    return enc(ROOT)
+    return _encode(t, lambda v: "()")
 
 
 def decode_tree(text: str) -> BinaryTree:
-    words: set[Vertex] = set()
-    pos = 0
-
-    def parse(prefix: Vertex) -> None:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
-            raise ParseError(f"expected '(' at position {pos}")
-        pos += 1
-        words.add(prefix)
-        if pos < len(text) and text[pos] == ")":
-            pos += 1
-            return
-        parse(prefix + (0,))
-        parse(prefix + (1,))
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError(f"expected ')' at position {pos}")
-        pos += 1
-
-    parse(ROOT)
-    if pos != len(text):
-        raise ParseError(f"trailing characters at position {pos}")
-    return validate_tree(words)
+    return validate_tree(_decode(text, labeled=False)[0])
 
 
 def format_word_set(t: BinaryTree) -> str:
@@ -406,46 +436,11 @@ class LabeledBinaryTree:
 def encode_labeled_tree(lt: LabeledBinaryTree) -> str:
     """Parenthesis encoding with leaf labels, e.g. '(((1)(3))(2))'."""
     labels = lt.labels
-
-    def enc(v: Vertex) -> str:
-        if v + (0,) in lt.tree.words:
-            return "(" + enc(v + (0,)) + enc(v + (1,)) + ")"
-        return f"({labels[v]})"
-
-    return enc(ROOT)
+    return _encode(lt.tree, lambda v: f"({labels[v]})")
 
 
 def decode_labeled_tree(text: str) -> LabeledBinaryTree:
-    words: set[Vertex] = set()
-    labels: dict[Vertex, int] = {}
-    pos = 0
-
-    def parse(prefix: Vertex) -> None:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
-            raise ParseError(f"expected '(' at position {pos}")
-        pos += 1
-        words.add(prefix)
-        if pos < len(text) and text[pos].isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            labels[prefix] = int(text[start:pos])
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError(f"expected ')' at position {pos}")
-            pos += 1
-            return
-        if pos < len(text) and text[pos] == ")":
-            raise ParseError(f"leaf at position {pos} is missing a label")
-        parse(prefix + (0,))
-        parse(prefix + (1,))
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError(f"expected ')' at position {pos}")
-        pos += 1
-
-    parse(ROOT)
-    if pos != len(text):
-        raise ParseError(f"trailing characters at position {pos}")
+    words, labels = _decode(text, labeled=True)
     return LabeledBinaryTree.from_labels(validate_tree(words), labels)
 
 

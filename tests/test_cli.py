@@ -1,10 +1,11 @@
 """Command line interface: outputs, exit codes, seeds, file round-trips."""
 
+import hashlib
 import json
 
 import pytest
 
-from remychain import catalan, martin_kernel, transition_prob, decode_tree
+from remychain import catalan, martin_kernel, remy, transition_prob, decode_tree
 from remychain.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STAT, EXIT_USAGE, dispatch
 
 
@@ -36,6 +37,26 @@ def test_bad_tree_argument_is_usage_error(capsys):
 def test_negative_level_is_usage_error(capsys):
     code, _, _ = run(capsys, "chain", "--n", "0")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("reps", ["-1", "0"])
+def test_nonpositive_reps_is_usage_error(capsys, reps):
+    code, out, err = run(capsys, "chain", "--n", "5", "--reps", reps)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "positive integer" in err
+
+
+def test_sampling_failure_exits_invariant(capsys, monkeypatch):
+    def exhausted(n, rng):
+        raise remy.RetryLimitError("stream collisions persist past the retry cap")
+
+    monkeypatch.setattr(remy, "dyadic_bridge_sample", exhausted)
+    code, out, err = run(capsys, "dyadic", "--n", "5")
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "sampling failed" in err
+    assert "Traceback" not in err
 
 
 def test_every_command_reports_wall_time(capsys):
@@ -86,6 +107,31 @@ def test_replicas_are_distinct_streams(capsys):
     assert len({r["outputs"]["tree"] for r in recs}) > 1
 
 
+GOLDEN_TARGET = "(((()())())((()())(()(()()))))"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["chain", "--n", "30"], "d62c55b01b25e129"),
+        (["bridge", "--target", GOLDEN_TARGET], "9d2cc149da9d2482"),
+        (["spine", "--n", "40"], "3433c8d2effa2a7d"),
+        (["dyadic", "--n", "30"], "7dd44dab686a7b54"),
+        (["dyck", "--n", "20"], "fa35dcf45c5b7d3b"),
+        (["ensemble-sample", "--kind", "interval", "--m", "8"], "3c33b63ba1d4bb06"),
+        (["ensemble-sample", "--kind", "dyadic", "--m", "8"], "495475428b5e4c9c"),
+        (
+            ["ensemble-sample", "--kind", "excursion", "--dyck-n", "200", "--m", "6"],
+            "f07933433b87d3f3",
+        ),
+    ],
+)
+def test_seeded_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--seed", "11", "--reps", "3")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 # ---------------------------------------------------------------------------
 # Values against the library
 
@@ -106,6 +152,12 @@ def test_chain_outputs_valid_trees(capsys):
     _, out, _ = run(capsys, "chain", "--n", "4", "--seed", "3")
     tree = decode_tree(records(out)[0]["outputs"]["tree"])
     assert tree.n_leaves == 5
+
+
+def test_deep_spine_encodes_without_recursion_limit(capsys):
+    code, out, _ = run(capsys, "spine", "--n", "1500", "--seed", "1")
+    assert code == EXIT_OK
+    assert decode_tree(records(out)[0]["outputs"]["tree"]).n_leaves == 1501
 
 
 def test_bridge_path_levels(capsys):

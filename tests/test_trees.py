@@ -27,7 +27,6 @@ from remychain import (
     harris_path,
     harris_tree,
     leaf_visit_indices,
-    leaves_lex,
     make_rng,
     mrca,
     order_query,
@@ -108,10 +107,10 @@ def test_order_query_equal():
 
 
 def test_leaves_lex_examples():
-    assert leaves_lex(ALEPH) == ((0,), (1,))
+    assert ALEPH.leaves == ((0,), (1,))
     t = validate_tree([(), (0,), (1,), (1, 0), (1, 1)])
-    assert leaves_lex(t) == ((0,), (1, 0), (1, 1))
-    assert leaves_lex(SINGLETON) == ((),)
+    assert t.leaves == ((0,), (1, 0), (1, 1))
+    assert SINGLETON.leaves == ((),)
 
 
 def test_harris_singleton():
@@ -146,7 +145,7 @@ def test_leaf_visit_indices_align_with_lex_leaves():
         idx = leaf_visit_indices(t)
         assert len(idx) == t.n_leaves
         heights = harris_path(t).heights
-        for pos, leaf in zip(idx, leaves_lex(t)):
+        for pos, leaf in zip(idx, t.leaves):
             assert heights[pos] == len(leaf)
 
 
