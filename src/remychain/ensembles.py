@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import didendritic
 from .didendritic import DidendriticArray, TripleType
 from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
-from .trees import HarrisPath, LabeledBinaryTree
+from .trees import ALEPH, HarrisPath, LabeledBinaryTree
 
 ULTRAMETRIC_TOL = 1e-9
 
@@ -377,65 +377,73 @@ class ExcursionEnsemble:
 # From samples to labeled trees
 
 
+def _draw_point(
+    ensemble: Ensemble, rng: Rng, taken: set[object], retry_cap: int
+) -> PointHandle:
+    """One point whose identity is not in `taken`, redrawn at most `retry_cap` times."""
+    for _ in range(retry_cap + 1):
+        p = ensemble.sample_point(rng)
+        if p.identity is None or p.identity not in taken:
+            return p
+    raise RetryLimitError(
+        f"identity collisions persist past {retry_cap} redraws of one point; "
+        "ensemble too coarse"
+    )
+
+
 def sample_points(
     ensemble: Ensemble, count: int, rng: Rng, retry_cap: int = DEFAULT_RETRY_CAP
 ) -> list[PointHandle]:
-    """Draw `count` points, redrawing identity collisions up to the cap."""
+    """Draw `count` points with distinct identities.
+
+    A point whose identity repeats an earlier one is redrawn, at most
+    `retry_cap` times per point (not per call).
+    """
     points: list[PointHandle] = []
-    seen: set[object] = set()
-    retries = 0
-    while len(points) < count:
-        p = ensemble.sample_point(rng)
-        key = p.identity
-        if key is not None and key in seen:
-            retries += 1
-            if retries > retry_cap:
-                raise RetryLimitError("identity collisions persist; ensemble too coarse")
-            continue
-        if key is not None:
-            seen.add(key)
-        points.append(p)
+    taken: set[object] = set()
+    for _ in range(count):
+        points.append(_draw_point(ensemble, rng, taken, retry_cap))
+        taken.add(points[-1].identity)
     return points
 
 
-def _classify_triple(
-    ensemble: Ensemble,
-    handles: Sequence[PointHandle],
-    i: int,
-    j: int,
-    k: int,
-) -> TripleType:
-    """TripleType at sorted labels (i, j, k), 1-based into `handles`."""
-    a, b, c = handles[i - 1], handles[j - 1], handles[k - 1]
-    EQ, IN = SegmentRelation.EQUAL, SegmentRelation.CONTAINED
-    r_ij_ik = ensemble.compare(a, b, a, c)
-    r_ij_jk = ensemble.compare(a, b, b, c)
-    r_ik_jk = ensemble.compare(a, c, b, c)
-    if r_ij_ik == EQ and r_ij_jk == IN and r_ik_jk == IN:
-        pair, solo = (j, k), i
-    elif r_ij_jk == EQ and r_ij_ik == IN and r_ik_jk == SegmentRelation.CONTAINS:
-        pair, solo = (i, k), j
-    elif r_ik_jk == EQ and r_ij_ik == SegmentRelation.CONTAINS and r_ij_jk == SegmentRelation.CONTAINS:
-        pair, solo = (i, j), k
-    else:
-        raise DegenerateSampleError(
-            f"triple {(i, j, k)} fails the two-equal-one-larger pattern "
-            f"({r_ij_ik.value}, {r_ij_jk.value}, {r_ik_jk.value})",
-            labels=(i, j, k),
-        )
-    p, q = pair
-    hp, hq, hs = handles[p - 1], handles[q - 1], handles[solo - 1]
-    if ensemble.left_value(hp, hq) == 1:
-        left_leaf, right_leaf = p, q
-    else:
-        left_leaf, right_leaf = q, p
-    cherry_on_left = ensemble.left_value(hp, hs) == 1
-    ordered = (i, j, k)
-    return TripleType(
-        (ordered.index(left_leaf), ordered.index(right_leaf)),
-        ordered.index(solo),
-        cherry_on_left,
-    )
+def _classify(
+    ensemble: Ensemble, handles: Sequence[PointHandle], key: tuple[int, ...]
+) -> TripleType | bool:
+    """Type of the sorted labels `key`, 1-based into `handles`.
+
+    A triple gets its TripleType, a pair whether its first label sits on the
+    left.  Every DegenerateSampleError raised here names `key`.
+    """
+    try:
+        if len(key) == 2:
+            return ensemble.left_value(handles[key[0] - 1], handles[key[1] - 1]) == 1
+        i, j, k = key
+        a, b, c = handles[i - 1], handles[j - 1], handles[k - 1]
+        EQ, IN = SegmentRelation.EQUAL, SegmentRelation.CONTAINED
+        OUT = SegmentRelation.CONTAINS
+        r_ij_ik = ensemble.compare(a, b, a, c)
+        r_ij_jk = ensemble.compare(a, b, b, c)
+        r_ik_jk = ensemble.compare(a, c, b, c)
+        if r_ij_ik == EQ and r_ij_jk == IN and r_ik_jk == IN:
+            pair, solo = (j, k), i
+        elif r_ij_jk == EQ and r_ij_ik == IN and r_ik_jk == OUT:
+            pair, solo = (i, k), j
+        elif r_ik_jk == EQ and r_ij_ik == OUT and r_ij_jk == OUT:
+            pair, solo = (i, j), k
+        else:
+            raise DegenerateSampleError(
+                f"fails the two-equal-one-larger pattern "
+                f"({r_ij_ik.value}, {r_ij_jk.value}, {r_ik_jk.value})"
+            )
+        p, q = pair
+        if ensemble.left_value(handles[p - 1], handles[q - 1]) != 1:
+            p, q = q, p
+        cherry_on_left = ensemble.left_value(handles[pair[0] - 1], handles[solo - 1]) == 1
+    except DegenerateSampleError as e:
+        kind = "pair" if len(key) == 2 else "triple"
+        raise DegenerateSampleError(f"{kind} {key}: {e}", labels=key) from None
+    return TripleType((key.index(p), key.index(q)), key.index(solo), cherry_on_left)
 
 
 def didendritic_array_from_points(
@@ -443,20 +451,61 @@ def didendritic_array_from_points(
 ) -> DidendriticArray:
     """Triple-type table of the tree spanned by the handles (labels 1-based).
 
-    Raises DegenerateSampleError when some triple has tied branch points.
+    Raises DegenerateSampleError, naming the triple, when some triple has
+    tied branch points.
     """
-    n1 = len(handles)
-    if n1 < 3:
+    labels = range(1, len(handles) + 1)
+    if len(labels) < 3:
         raise ValueError("need at least three points")
-    entries: dict[tuple[int, int, int], TripleType] = {}
-    for i, j, k in itertools.combinations(range(1, n1 + 1), 3):
-        try:
-            entries[(i, j, k)] = _classify_triple(ensemble, handles, i, j, k)
-        except DegenerateSampleError as e:
-            if e.labels:
-                raise
-            raise DegenerateSampleError(str(e), labels=(i, j, k)) from None
-    return DidendriticArray(range(1, n1 + 1), entries)
+    keys = itertools.combinations(labels, 3)
+    return DidendriticArray(labels, {key: _classify(ensemble, handles, key) for key in keys})
+
+
+def _sample_classified(
+    ensemble: Ensemble, m: int, rng: Rng, retry_cap: int
+) -> tuple[list[PointHandle], dict[tuple[int, ...], TripleType | bool]]:
+    """m+1 samples with no degenerate triple (pair when m = 1), and their types.
+
+    Every triple is classified once.  While some are degenerate, a member of
+    the lexicographically smallest is redrawn, avoiding the identities in use,
+    and only the triples holding it are classified again.
+    """
+    handles = sample_points(ensemble, m + 1, rng, retry_cap)
+    labels = range(1, m + 2)
+    width = min(3, m + 1)
+    types: dict[tuple[int, ...], TripleType | bool] = {}
+    degenerate: dict[tuple[int, ...], DegenerateSampleError] = {}
+
+    def classify(keys: Iterable[tuple[int, ...]]) -> None:
+        for key in keys:
+            try:
+                types[key] = _classify(ensemble, handles, key)
+                degenerate.pop(key, None)
+            except DegenerateSampleError as e:
+                degenerate[key] = e
+
+    classify(itertools.combinations(labels, width))
+    redraws = dict.fromkeys(labels, 0)
+    total = 0
+    while degenerate:
+        key = min(degenerate)
+        # Rotate the redrawn member through the triple: a tie can sit inside
+        # any pair of it (two samples on one tree point stay degenerate however
+        # the third is redrawn).  A tied pair clears whichever member is redrawn.
+        victim = key[-1 - total % 3] if width == 3 else key[-1]
+        total += 1
+        redraws[victim] += 1
+        if redraws[victim] > retry_cap:
+            raise RetryLimitError(
+                f"degenerate draws persist past {retry_cap} redraws of label "
+                f"{victim} ({total - 1} redraws in all); last degenerate {degenerate[key]}"
+            )
+        taken = {p.identity for p in handles}
+        handles[victim - 1] = _draw_point(ensemble, rng, taken, retry_cap)
+        others = [x for x in labels if x != victim]
+        rests = itertools.combinations(others, width - 1)
+        classify(tuple(sorted((victim, *rest))) for rest in rests)
+    return handles, types
 
 
 def sample_didendritic(
@@ -465,70 +514,18 @@ def sample_didendritic(
     """Tree spanned by m+1 independent samples, labels in sampling order.
 
     Degenerate draws (tied branch points, identity collisions, capped
-    streams) have the offending point redrawn, at most `retry_cap` times.
+    streams) have the offending point redrawn.  `retry_cap` bounds the
+    redraws charged to any one label, and the identity collisions of each
+    point drawn; past it, RetryLimitError names the label, its redraw count,
+    the total and the last degenerate triple.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    handles = sample_points(ensemble, m + 1, rng, retry_cap)
+    _, types = _sample_classified(ensemble, m, rng, retry_cap)
     if m == 1:
-        return _two_point_tree(ensemble, handles, rng, retry_cap)
-    retries = 0
-    while True:
-        try:
-            arr = didendritic_array_from_points(ensemble, handles)
-            break
-        except DegenerateSampleError as e:
-            retries += 1
-            if retries > retry_cap:
-                raise RetryLimitError(
-                    f"degenerate draws persist past {retry_cap} retries: {e}"
-                ) from e
-            # Rotate the redrawn member across retries: a tie can sit inside
-            # any pair of the failing triple (two samples landing on one tree
-            # point stay degenerate no matter how the third is redrawn).
-            if e.labels:
-                trip = sorted(e.labels, reverse=True)
-                victim = trip[(retries - 1) % 3] - 1
-            else:
-                victim = len(handles) - 1
-            handles[victim] = _fresh_point(ensemble, handles, rng, retry_cap)
-    return didendritic.decode(arr)
-
-
-def _fresh_point(
-    ensemble: Ensemble,
-    handles: Sequence[PointHandle],
-    rng: Rng,
-    retry_cap: int,
-) -> PointHandle:
-    taken = {p.identity for p in handles if p.identity is not None}
-    for _ in range(retry_cap + 1):
-        p = ensemble.sample_point(rng)
-        if p.identity is None or p.identity not in taken:
-            return p
-    raise RetryLimitError("identity collisions persist; ensemble too coarse")
-
-
-def _two_point_tree(
-    ensemble: Ensemble,
-    handles: list[PointHandle],
-    rng: Rng,
-    retry_cap: int,
-) -> LabeledBinaryTree:
-    from .trees import ALEPH
-
-    retries = 0
-    while True:
-        try:
-            first_left = ensemble.left_value(handles[0], handles[1]) == 1
-            break
-        except DegenerateSampleError:
-            retries += 1
-            if retries > retry_cap:
-                raise RetryLimitError("degenerate pair persists") from None
-            handles[1] = _fresh_point(ensemble, handles[:1], rng, retry_cap)
-    labels = {(0,): 1, (1,): 2} if first_left else {(0,): 2, (1,): 1}
-    return LabeledBinaryTree.from_labels(ALEPH, labels)
+        order = {(0,): 1, (1,): 2} if types[(1, 2)] else {(0,): 2, (1,): 1}
+        return LabeledBinaryTree.from_labels(ALEPH, order)
+    return didendritic.decode(DidendriticArray(range(1, m + 2), types))
 
 
 def check_ensemble_axioms(
@@ -541,19 +538,13 @@ def check_ensemble_axioms(
 
     Each accepted draw must show two equal branch segments strictly inside
     the third, antisymmetric pair orientations, and the same orientation of
-    the outer point against both cherry members.  Ties are redrawn.
+    the outer point against both cherry members.  Ties are redrawn as in
+    sample_didendritic.
     """
     violations: list[str] = []
     for rep in range(n_triples):
-        for attempt in range(retry_cap + 1):
-            handles = sample_points(ensemble, 3, rng, retry_cap)
-            try:
-                tt = _classify_triple(ensemble, handles, 1, 2, 3)
-                break
-            except DegenerateSampleError:
-                continue
-        else:
-            raise RetryLimitError("degenerate triples persist; ensemble too coarse")
+        handles, types = _sample_classified(ensemble, 2, rng, retry_cap)
+        tt = types[(1, 2, 3)]
         for a, b in itertools.permutations(range(3), 2):
             va = ensemble.left_value(handles[a], handles[b])
             vb = ensemble.left_value(handles[b], handles[a])

@@ -332,7 +332,8 @@ def dyadic_bridge_sample(
     """Shape spanned by n+1 independent fair-coin sequences.
 
     Streams are materialized to `bit_cap` bits; a pair still identical at
-    that length has one member redrawn (probability 2^-bit_cap per pair).
+    that length has one member redrawn (probability 2^-bit_cap per pair),
+    at most `retry_cap` times per stream.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -341,7 +342,7 @@ def dyadic_bridge_sample(
         return tuple(rng.integers(0, 2, size=bit_cap).tolist())
 
     streams = [draw() for _ in range(n + 1)]
-    retries = 0
+    redraws = [0] * (n + 1)
     while True:
         # redraw the first stream that repeats an earlier one
         first: dict[tuple[int, ...], int] = {}
@@ -350,8 +351,11 @@ def dyadic_bridge_sample(
         )
         if clash is None:
             break
-        retries += 1
-        if retries > retry_cap:
-            raise RetryLimitError("stream collisions persist past the retry cap")
+        redraws[clash] += 1
+        if redraws[clash] > retry_cap:
+            raise RetryLimitError(
+                f"stream collisions persist past {retry_cap} redraws of stream "
+                f"{clash + 1} ({sum(redraws) - 1} redraws in all)"
+            )
         streams[clash] = draw()
     return span_words(streams)[0]

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from scipy.stats import chi2
-
 
 @dataclass(frozen=True)
 class StatReport:
@@ -95,6 +93,10 @@ def chi_square(
 
     statistic = sum((o - n * p) ** 2 / (n * p) for p, o in pooled)
     dof = len(pooled) - 1
+    # Imported here: scipy.stats takes most of a second to import, and no
+    # other function needs it.
+    from scipy.stats import chi2
+
     threshold = float(chi2.ppf(1.0 - significance, dof))
     return StatReport(
         name=name,

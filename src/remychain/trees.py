@@ -238,16 +238,12 @@ class HarrisPath:
 def contour_vertices(t: BinaryTree) -> tuple[Vertex, ...]:
     """Vertices in contour order; leaves appear exactly once each."""
     out: list[Vertex] = []
-
-    def walk(v: Vertex) -> None:
+    stack = [(ROOT, True)]  # (vertex, first visit); later visits emit only
+    while stack:
+        v, first = stack.pop()
         out.append(v)
-        if v + (0,) in t.words:
-            walk(v + (0,))
-            out.append(v)
-            walk(v + (1,))
-            out.append(v)
-
-    walk(ROOT)
+        if first and v + (0,) in t.words:
+            stack += ((v, False), (v + (1,), True), (v, False), (v + (0,), True))
     return tuple(out)
 
 
@@ -266,22 +262,20 @@ def harris_tree(path: HarrisPath) -> BinaryTree:
     """Invert harris_path.  Raises ParseError if the walk is not binary."""
     h = path.heights
     words: set[Vertex] = set()
-
-    def build(lo: int, hi: int, prefix: Vertex) -> None:
-        # h[lo:hi] is the contour of the subtree at `prefix`, whose root
-        # height is h[lo]; the walk starts and ends there.
+    # h[lo:hi] is the contour of the subtree at `prefix`, whose root height
+    # is h[lo]; the walk starts and ends there.
+    stack = [(0, len(h), ROOT)]
+    while stack:
+        lo, hi, prefix = stack.pop()
         words.add(prefix)
         if hi - lo == 1:
-            return
+            continue
         d = h[lo]
         returns = [i for i in range(lo + 1, hi) if h[i] == d]
         if len(returns) != 2 or returns[1] != hi - 1 or h[hi - 1] != d:
             raise ParseError("walk does not describe a binary tree")
         mid = returns[0]
-        build(lo + 1, mid, prefix + (0,))
-        build(mid + 1, hi - 1, prefix + (1,))
-
-    build(0, len(h), ROOT)
+        stack += ((mid + 1, hi - 1, prefix + (1,)), (lo + 1, mid, prefix + (0,)))
     return validate_tree(words)
 
 

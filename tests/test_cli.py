@@ -124,6 +124,16 @@ GOLDEN_TARGET = "(((()())())((()())(()(()()))))"
             ["ensemble-sample", "--kind", "excursion", "--dyck-n", "200", "--m", "6"],
             "f07933433b87d3f3",
         ),
+        (
+            ["ensemble-sample", "--kind", "excursion", "--dyck-n", "300", "--m", "20"],
+            "7ba278263a555a33",
+        ),
+        # Exited 2 when all labels shared one redraw budget; each label now
+        # has its own, and the draws are those of an uncapped run.
+        (
+            ["ensemble-sample", "--kind", "excursion", "--dyck-n", "100", "--m", "12"],
+            "af75408409f83425",
+        ),
     ],
 )
 def test_seeded_stdout_is_pinned(capsys, argv, digest):

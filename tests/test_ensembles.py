@@ -303,6 +303,18 @@ def test_all_zero_grid_exhausts_retries(rng):
         sample_didendritic(e, 2, rng)
 
 
+def test_retry_limit_names_label_counts_and_triple(rng):
+    e = ExcursionEnsemble(ExcursionGrid((0.0, 0.0, 0.0, 0.0, 0.0)))
+    with pytest.raises(RetryLimitError) as info:
+        sample_didendritic(e, 2, rng)
+    msg = str(info.value)
+    # The redrawn member rotates 3, 2, 1 through the one triple, so label 3
+    # is the first to pass the cap.
+    assert "past 100 redraws of label 3" in msg
+    assert "(300 redraws in all)" in msg
+    assert "last degenerate triple (1, 2, 3)" in msg
+
+
 def test_endpoint_pair_is_redrawn_not_fatal():
     """The two endpoint indices code the same tree point (the root); a
     sampler that keeps redrawing only the third point would spin forever."""

@@ -1,5 +1,7 @@
 """Total variation, empirical laws, and the pooled chi-square check."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -113,3 +115,9 @@ def test_report_line_format():
     )
     line = report.line()
     assert "demo" in line and "1.5000" in line and "9.2000" in line
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs most of a second; only chi_square needs it.
+    code = "import sys, remychain; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -14,6 +14,7 @@ from remychain import (
     LabeledBinaryTree,
     Order,
     ParseError,
+    SpineState,
     TreeInvariantError,
     catalan,
     count_labeled_trees,
@@ -33,6 +34,7 @@ from remychain import (
     parse_tree,
     parse_word_set,
     remy_chain,
+    spine_tree,
     to_dot,
     validate_tree,
 )
@@ -129,6 +131,13 @@ def test_harris_round_trip_enumeration():
         p = harris_path(t)
         assert len(p.heights) == 4 * len(t.internal) + 1
         assert harris_tree(p) == t
+
+
+def test_deep_spine_harris_walk_without_recursion_limit():
+    t = spine_tree(SpineState((0, 1) * 750))
+    assert t.n_leaves == 1501
+    assert harris_tree(harris_path(t)) == t
+    assert len(leaf_visit_indices(t)) == 1501
 
 
 def test_harris_path_invariants():
