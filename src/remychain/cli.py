@@ -215,8 +215,8 @@ def cmd_embeddings(args) -> int:
 
 
 def cmd_check_harmonic(args) -> int:
-    if args.max_leaves < 2:
-        raise CliError("--max-leaves must be at least 2")
+    if not 2 <= args.max_leaves <= trees.MAX_ENUM_LEAVES:
+        raise CliError(f"--max-leaves must be in 2..{trees.MAX_ENUM_LEAVES}")
     failures: list[str] = []
     total = 0
     for m in range(1, args.max_leaves):

@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Mapping, Sequence
 
-from .trees import LabeledBinaryTree, Vertex, _common_prefix_len, validate_tree
+from .trees import (
+    ROOT,
+    BinaryTree,
+    LabeledBinaryTree,
+    Order,
+    Vertex,
+    _common_prefix_len,
+    mrca,
+    order_query,
+)
 
 _SLOT_LETTERS = "abc"
 
@@ -67,6 +77,7 @@ ALL_TRIPLE_TYPES: tuple[TripleType, ...] = tuple(
 )
 
 _TOKEN_TO_TYPE = {tt.token: tt for tt in ALL_TRIPLE_TYPES}
+_TYPE_OF_CHERRY = {(*tt.cherry, tt.cherry_on_left): tt for tt in ALL_TRIPLE_TYPES}
 
 
 def parse_triple_type(token: str) -> TripleType:
@@ -81,24 +92,31 @@ def triple_type(lt: LabeledBinaryTree, i: int, j: int, k: int) -> TripleType:
     if len({i, j, k}) != 3:
         raise ValueError("labels must be distinct")
     try:
-        words = [lt.leaf_of_label[x] for x in (i, j, k)]
+        a, b, c = words = [lt.leaf_of_label[x] for x in (i, j, k)]
     except KeyError as e:
         raise KeyError(f"label {e.args[0]} not present") from None
-    return _classify_words(words)
+    # leaf words are prefix-free, so comparing them compares leaf positions
+    return _classify(
+        _common_prefix_len(a, b), _common_prefix_len(a, c), _common_prefix_len(b, c), words
+    )
 
 
-def _classify_words(words: Sequence[Vertex]) -> TripleType:
-    """TripleType of three leaf words, slots following their given order."""
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    depths = [_common_prefix_len(words[a], words[b]) for a, b in pairs]
-    deepest = max(range(3), key=lambda idx: depths[idx])
-    x, y = pairs[deepest]
-    outer = ({0, 1, 2} - {x, y}).pop()
-    d = depths[deepest]
-    if words[x][d] == 1:
+def _classify(d01: int, d02: int, d12: int, pos: Sequence) -> TripleType:
+    """Type of three leaves in slots 0, 1, 2, given the depth of each pair's
+    branch point and each leaf's left-to-right position.
+
+    The deepest pair is the cherry; of the other two depths, which agree,
+    neither can exceed it.
+    """
+    if d01 == d02:
+        x, y, z = 1, 2, 0
+    elif d01 > d02:
+        x, y, z = 0, 1, 2
+    else:
+        x, y, z = 0, 2, 1
+    if pos[x] > pos[y]:
         x, y = y, x
-    root_depth = min(depths)
-    return TripleType((x, y), outer, cherry_on_left=words[x][root_depth] == 0)
+    return _TYPE_OF_CHERRY[x, y, pos[x] < pos[z]]
 
 
 class DidendriticArray:
@@ -185,134 +203,108 @@ class DidendriticArray:
 
 
 def encode(lt: LabeledBinaryTree) -> DidendriticArray:
-    """Triple-type table of a labeled tree with at least three leaves."""
+    """Triple-type table of a labeled tree with at least three leaves.
+
+    Each pair's branch-point depth and each leaf's position are computed
+    once; a triple then picks one of the 12 types from those numbers.
+    """
     if lt.n_leaves < 3:
         raise ValueError("need at least three leaves")
     leaf_of = lt.leaf_of_label
-    entries = {
-        trip: _classify_words([leaf_of[x] for x in trip])
-        for trip in itertools.combinations(sorted(leaf_of), 3)
+    labs = sorted(leaf_of)
+    pos = {lab: r for r, lab in enumerate(sorted(labs, key=leaf_of.__getitem__))}
+    depth = {
+        (a, b): _common_prefix_len(leaf_of[a], leaf_of[b])
+        for a, b in itertools.combinations(labs, 2)
     }
-    return DidendriticArray(leaf_of.keys(), entries)
+    entries = {
+        (i, j, k): _classify(
+            depth[i, j], depth[i, k], depth[j, k], (pos[i], pos[j], pos[k])
+        )
+        for i, j, k in itertools.combinations(labs, 3)
+    }
+    return DidendriticArray(labs, entries)
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction
 
 
-def _leafsets(arr: DidendriticArray) -> dict[frozenset[int], frozenset[int]]:
-    """For each label pair, every label at or below the pair's branch point."""
-    out: dict[frozenset[int], frozenset[int]] = {}
-    labs = arr.labels
-    for i, j in itertools.combinations(labs, 2):
-        below = {i, j}
-        below.update(p for p in labs if arr.below(i, j, p))
-        out[frozenset((i, j))] = frozenset(below)
-    return out
-
-
-def _pair_orientation(arr: DidendriticArray, a: int, b: int, q: int) -> bool:
-    """True when a hangs left of b at their branch point, per witness q."""
+def _pair_orientation(arr: DidendriticArray, a: int, b: int) -> bool:
+    """True when a hangs left of b at their branch point, as the triple of
+    a, b and the smallest other label reads it."""
+    q = next(x for x in arr.labels if x != a and x != b)
     x, y, z, cherry_on_left = arr.absolute(a, b, q)
     if z == q:
         # cherry is {a, b}: read the orientation straight off
         return x == a
     # q is in the cherry with one of a, b; that one sits on the cherry's side
     partner = x if y == q else y
-    partner_left = cherry_on_left
-    return partner_left if partner == a else not partner_left
-
-
-def _split_sides(
-    arr: DidendriticArray, a: int, b: int, members: frozenset[int], witness: int
-) -> tuple[set[int], set[int]]:
-    """Partition `members` into left and right of the branch point of (a, b).
-
-    `witness` orients the pair itself when no third member is available.
-    """
-    q = next(iter(members - {a, b}), witness)
-    a_left = _pair_orientation(arr, a, b, q)
-    left, right = (set(), set())
-    (left if a_left else right).add(a)
-    (right if a_left else left).add(b)
-    for p in members - {a, b}:
-        x, y, z, _ = arr.absolute(a, b, p)
-        if z == p:
-            raise DidendriticError(
-                f"triple {tuple(sorted((a, b, p)))} contradicts "
-                f"containment below the pair ({a}, {b})"
-            )
-        partner = x if y == p else y
-        if partner == a:
-            (left if a_left else right).add(p)
-        else:
-            (right if a_left else left).add(p)
-    return left, right
+    return cherry_on_left if partner == a else not cherry_on_left
 
 
 def decode(arr: DidendriticArray) -> LabeledBinaryTree:
     """Rebuild the labeled tree whose triple types are `arr`.
 
-    Raises DidendriticError when no tree is consistent with the table.
+    Sorts the labels into leaf order, then splits each run of leaves at its
+    root: inside a run, the first leaf whose cherry with the run's two ends
+    takes the right end starts the right side.  The tree so built is
+    encoded and compared with `arr`, so a DidendriticError, naming the first
+    disagreeing triple, is raised exactly when no tree has this table.
     """
     labs = arr.labels
     if labs != tuple(range(1, len(labs) + 1)):
         raise DidendriticError(f"labels must be 1..{len(labs)}, got {labs}")
-    leafsets = _leafsets(arr)
-    by_set: dict[frozenset[int], tuple[int, int]] = {}
-    for pair, ls in leafsets.items():
-        by_set.setdefault(ls, tuple(sorted(pair)))  # keep one witness pair
-
+    order = sorted(
+        labs, key=cmp_to_key(lambda a, b: -1 if _pair_orientation(arr, a, b) else 1)
+    )
     words: set[Vertex] = set()
     labels: dict[Vertex, int] = {}
-
-    def build(members: frozenset[int], prefix: Vertex) -> None:
+    stack = [(0, len(order), ROOT)]  # order[lo:hi] hangs below prefix
+    while stack:
+        lo, hi, prefix = stack.pop()
         words.add(prefix)
-        if len(members) == 1:
-            labels[prefix] = next(iter(members))
-            return
-        pair = by_set.get(members)
-        if pair is None:
-            raise DidendriticError(
-                f"no pair of labels spans {sorted(members)}; "
-                "the containment structure is not tree-like"
-            )
-        a, b = pair
-        left, right = _split_sides(arr, a, b, members, witness=_witness(labs, a, b))
-        build(frozenset(left), prefix + (0,))
-        build(frozenset(right), prefix + (1,))
-
-    build(frozenset(labs), ())
-    tree = validate_tree(words)
-    return LabeledBinaryTree.from_labels(tree, labels)
-
-
-def _witness(labs: Sequence[int], a: int, b: int) -> int:
-    for q in labs:
-        if q != a and q != b:
-            return q
-    raise DidendriticError("need at least three labels")
+        if hi - lo == 1:
+            labels[prefix] = order[lo]
+            continue
+        a, b = order[lo], order[hi - 1]
+        # a as the outer leaf puts order[m] in a cherry with b
+        mid = next(
+            (m for m in range(lo + 1, hi - 1) if arr.absolute(a, b, order[m])[2] == a),
+            hi - 1,
+        )
+        stack += ((mid, hi, prefix + (1,)), (lo, mid, prefix + (0,)))
+    lt = LabeledBinaryTree.from_labels(BinaryTree(frozenset(words)), labels)
+    got = encode(lt)
+    if got != arr:
+        wrong = [
+            trip
+            for trip in itertools.combinations(labs, 3)
+            if got.entry(*trip) != arr.entry(*trip)
+        ]
+        first = wrong[0]
+        raise DidendriticError(
+            f"no tree has this table: triple {first} is "
+            f"{arr.entry(*first).token} where the tree read off the table has "
+            f"{got.entry(*first).token}; {len(wrong)} of "
+            f"{len(arr._entries)} triples disagree"
+        )
+    return lt
 
 
 # ---------------------------------------------------------------------------
 # Relation queries and the group action
 
 
-def _below_side(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> str | None:
-    """'L' or 'R' when the class of (j, k) sits strictly below that side of
-    the branch point of (h, i); None when it is not strictly below."""
+def _branch_order(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> Order:
+    """order_query between the branch points of (h, i) and (j, k) in the
+    decoded tree; a diagonal pair stands for the leaf itself."""
     for lab in (h, i, j, k):
         if lab not in arr.labels:
             raise KeyError(f"label {lab} not present")
-    if h == i:
-        return None  # a leaf has nothing strictly below it
-    leafsets = _leafsets(arr)
-    upper = leafsets[frozenset((h, i))]
-    target = frozenset((j,)) if j == k else leafsets[frozenset((j, k))]
-    if not target < upper:
-        return None
-    left, _ = _split_sides(arr, h, i, upper, witness=_witness(arr.labels, h, i))
-    return "L" if target <= left else "R"
+    lt = decode(arr)
+    t, leaf = lt.tree, lt.leaf_of_label
+    return order_query(t, mrca(t, leaf[h], leaf[i]), mrca(t, leaf[j], leaf[k]))
 
 
 def left_of(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> bool:
@@ -320,13 +312,14 @@ def left_of(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> bool:
 
     Diagonal pairs stand for the leaves themselves: left_of(arr, i, j, i, i)
     asks whether leaf i hangs on the left at the branch point of i and j.
+    Raises DidendriticError when no tree has the table `arr`.
     """
-    return _below_side(arr, h, i, j, k) == "L"
+    return _branch_order(arr, h, i, j, k) == Order.ANCESTOR_LEFT
 
 
 def right_of(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> bool:
     """Right-handed companion of left_of."""
-    return _below_side(arr, h, i, j, k) == "R"
+    return _branch_order(arr, h, i, j, k) == Order.ANCESTOR_RIGHT
 
 
 def restrict(arr: DidendriticArray, subset: Iterable[int]) -> DidendriticArray:
@@ -361,85 +354,16 @@ def permute(arr: DidendriticArray, sigma: Mapping[int, int]) -> DidendriticArray
 
 
 def axioms_check(arr: DidendriticArray) -> list[str]:
-    """Violations of the defining relations; empty for encodings of trees.
+    """Why no tree has the table `arr`; empty exactly for encodings of trees.
 
-    The relations derived from the table must orient every pair exactly one
-    way (every witness triple agreeing), nest branch points consistently,
-    and compose left/right ancestry transitively.
+    The table is valid exactly when decode succeeds, so the one violation
+    listed is decode's: the first triple the decoded tree reads otherwise.
     """
-    violations: list[str] = []
-    labs = arr.labels
-
-    # Every witness must assign the same left/right orientation to a pair.
-    for a, b in itertools.combinations(labs, 2):
-        votes = {}
-        for q in labs:
-            if q in (a, b):
-                continue
-            votes.setdefault(_pair_orientation(arr, a, b, q), []).append(q)
-        if len(votes) == 2:
-            violations.append(
-                f"pair ({a}, {b}) is oriented both ways: left per witnesses "
-                f"{votes[True]}, right per witnesses {votes[False]}"
-            )
-
-    # Within each triple, the two pairs through the outer leaf must share a
-    # branch point (equal leaf sets) sitting strictly above the cherry's.
-    leafsets = _leafsets(arr)
-    for trip in itertools.combinations(labs, 3):
-        x, y, z, _ = arr.absolute(*trip)
-        ls_xz = leafsets[frozenset((x, z))]
-        ls_yz = leafsets[frozenset((y, z))]
-        ls_xy = leafsets[frozenset((x, y))]
-        if ls_xz != ls_yz:
-            violations.append(
-                f"triple {trip}: pairs ({x},{z}) and ({y},{z}) should share a "
-                f"branch point but span {sorted(ls_xz)} and {sorted(ls_yz)}"
-            )
-        if not ls_xy < ls_xz:
-            violations.append(
-                f"triple {trip}: cherry ({x},{y}) does not branch strictly "
-                f"below the outer leaf {z}"
-            )
-
-    if violations:
-        return violations
-
-    # Left/right ancestry must compose: anything left of a branch point stays
-    # left of it through deeper branch points, and symmetrically.
-    classes = {}
-    for pair, ls in leafsets.items():
-        classes.setdefault(ls, sorted(pair))
-    sides = {}
-    for ls, (a, b) in classes.items():
-        try:
-            sides[ls] = _split_sides(arr, a, b, ls, witness=_witness(labs, a, b))
-        except DidendriticError as e:
-            violations.append(str(e))
-            return violations
-    rel = {}
-    for u in classes:
-        for v in classes:
-            if u == v:
-                continue
-            left, right = sides[u]
-            if v <= frozenset(left):
-                rel[(u, v)] = "L"
-            elif v <= frozenset(right):
-                rel[(u, v)] = "R"
-    for (u, v), s1 in rel.items():
-        for w in classes:
-            s2 = rel.get((v, w))
-            if s2 is None or w == u:
-                continue
-            s3 = rel.get((u, w))
-            if s3 != s1:
-                violations.append(
-                    f"ancestry fails to compose: {classes[u]} {s1} {classes[v]}"
-                    f" and {classes[v]} {s2} {classes[w]} but {classes[u]} "
-                    f"{s3 or 'unrelated'} {classes[w]}"
-                )
-    return violations
+    try:
+        decode(arr)
+    except DidendriticError as e:
+        return [str(e)]
+    return []
 
 
 # ---------------------------------------------------------------------------

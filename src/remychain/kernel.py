@@ -32,6 +32,8 @@ from .trees import (
 
 MAX_ENUMERATE_EMBEDDINGS_LEAVES = 10
 MAX_COMPLETE_DEPTH = 16
+# count_embeddings remembers this many (s, t) pairs, least recently used out.
+COUNT_CACHE_SIZE = 4096
 
 
 def double_factorial_odd(m: int) -> int:
@@ -39,40 +41,49 @@ def double_factorial_odd(m: int) -> int:
     return math.prod(range(1, 2 * m, 2))
 
 
-@lru_cache(maxsize=None)
+def _preorder_children(t: BinaryTree) -> tuple[list[int], list[tuple[int, int] | None]]:
+    """Depth and child indices of each vertex of t, in preorder."""
+    order = sorted(t.words)
+    index = {v: i for i, v in enumerate(order)}
+    kids = [
+        (index[v + (0,)], index[v + (1,)]) if v + (0,) in index else None
+        for v in order
+    ]
+    return [len(v) for v in order], kids
+
+
+@lru_cache(maxsize=COUNT_CACHE_SIZE)
 def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
     """Number of order-preserving leaf-to-leaf embeddings of s into t.
 
-    Recursion over vertex pairs: h(u, v) counts embeddings of the subtree at
-    u whose root lands on v or anywhere below it.  Those landing exactly on
-    v pair the left and right subtrees of u with those of v.
+    Dynamic program over vertex pairs, children before parents: h(u, v)
+    counts embeddings of the subtree at u whose root lands on v or anywhere
+    below it.  Those landing exactly on v pair the left and right subtrees
+    of u with those of v.  Only v at least as deep as u is ever needed.
     """
     if s.n_leaves > t.n_leaves:
         return 0
-
-    h: dict[tuple[Vertex, Vertex], int] = {}
-
-    s_words, t_words = s.words, t.words
-
-    def compute(u: Vertex, v: Vertex) -> int:
-        key = (u, v)
-        if key in h:
-            return h[key]
-        u_internal = u + (0,) in s_words
-        v_internal = v + (0,) in t_words
-        if not u_internal:
-            exact = 0 if v_internal else 1
-        elif not v_internal:
-            exact = 0
-        else:
-            exact = compute(u + (0,), v + (0,)) * compute(u + (1,), v + (1,))
-        total = exact
-        if v_internal:
-            total += compute(u, v + (0,)) + compute(u, v + (1,))
-        h[key] = total
-        return total
-
-    return compute(ROOT, ROOT)
+    s_depth, s_kids = _preorder_children(s)
+    t_depth, t_kids = _preorder_children(t)
+    rows: list[list[int] | None] = [None] * len(s_kids)  # h(u, .) by t index
+    for u in reversed(range(len(s_kids))):
+        du, uk = s_depth[u], s_kids[u]
+        if uk is not None:
+            left, right = rows[uk[0]], rows[uk[1]]
+            rows[uk[0]] = rows[uk[1]] = None  # each row is read by its parent only
+        row = [0] * len(t_kids)
+        for v in reversed(range(len(t_kids))):
+            if t_depth[v] < du:
+                continue
+            vk = t_kids[v]
+            if vk is None:
+                row[v] = 1 if uk is None else 0
+            else:
+                a, b = vk
+                exact = 0 if uk is None else left[a] * right[b]
+                row[v] = exact + row[a] + row[b]
+        rows[u] = row
+    return rows[0][0]
 
 
 def span_words(words: Sequence[Sequence[int]]) -> tuple[BinaryTree, list[Vertex]]:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from remychain import catalan, martin_kernel, remy, transition_prob, decode_tree
+from remychain import catalan, kernel, martin_kernel, remy, transition_prob, decode_tree
 from remychain.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STAT, EXIT_USAGE, dispatch
 
 
@@ -170,6 +170,14 @@ def test_deep_spine_encodes_without_recursion_limit(capsys):
     assert decode_tree(records(out)[0]["outputs"]["tree"]).n_leaves == 1501
 
 
+def test_kernel_on_deep_spine_without_recursion_limit(capsys):
+    _, out, _ = run(capsys, "spine", "--n", "1200", "--seed", "1")
+    spine = records(out)[0]["outputs"]["tree"]
+    code, out, err = run(capsys, "kernel", "--s", "(()())", "--t", spine)
+    assert code == EXIT_OK, err
+    assert records(out)[0]["outputs"]["count"] == 1201 * 1200 // 2
+
+
 def test_bridge_path_levels(capsys):
     target = "((()())(()()))"
     _, out, _ = run(capsys, "bridge", "--target", target, "--seed", "0")
@@ -184,6 +192,17 @@ def test_check_harmonic_command(capsys):
     rec = records(out)[0]
     assert rec["outputs"]["all_pass"] is True
     assert rec["outputs"]["failures"] == []
+
+
+def test_check_harmonic_rejects_unenumerable_size_up_front(capsys, monkeypatch):
+    def never(h, s):
+        raise AssertionError("check_harmonic ran before the size guard")
+
+    monkeypatch.setattr(kernel, "check_harmonic", never)
+    code, out, err = run(capsys, "check-harmonic", "--max-leaves", "14")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--max-leaves" in err
 
 
 def test_kernel_limit_on_two_leaf_source_is_constant_one(capsys):
@@ -259,6 +278,18 @@ def test_decode_rejects_contradictory_lines(capsys, tmp_path):
     code, _, err = run(capsys, "decode", "--in", str(path))
     assert code == EXIT_INVARIANT
     assert "decode failed" in err
+
+
+def test_decode_rejects_table_no_tree_has(capsys, tmp_path):
+    path = tmp_path / "no_tree.txt"
+    path.write_text("1 2 3 c_ab\n1 2 4 ab_c\n1 3 4 ab_c\n2 3 4 ab_c\n")
+    code, out, err = run(capsys, "decode", "--in", str(path))
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "decode failed:" in err
+    code, out, _ = run(capsys, "check", "--in", str(path))
+    assert code == EXIT_INVARIANT
+    assert records(out)[0]["outputs"]["violations"]
 
 
 def test_encode_needs_three_leaves(capsys):

@@ -1,6 +1,7 @@
 """The triple-type table of a leaf-labeled tree: codec, queries, axioms."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +290,48 @@ def test_corrupted_entries_are_detected():
                 assert encode(decode(bad)) == bad
     assert total == 110
     assert flagged >= 99  # at least 90 percent of corruptions caught
+
+
+def test_decode_is_sound_on_every_single_corruption_of_four_labels():
+    """Every table decode accepts re-encodes to itself, and axioms_check
+    passes exactly the tables decode accepts."""
+    total = 0
+    for lt in enumerate_labeled_trees(3):
+        arr = encode(lt)
+        base = {trip: arr.entry(*trip) for trip in itertools.combinations(arr.labels, 3)}
+        for trip in base:
+            for tt in ALL_TRIPLE_TYPES:
+                if tt == base[trip]:
+                    continue
+                total += 1
+                bad = DidendriticArray(arr.labels, {**base, trip: tt})
+                try:
+                    out = decode(bad)
+                except DidendriticError:
+                    assert axioms_check(bad) != []
+                    continue
+                assert encode(out) == bad
+                assert axioms_check(bad) == []
+    assert total == 5280
+
+
+def test_decode_error_names_first_disagreeing_triple():
+    bad = from_lines(["1 2 3 c_ab", "1 2 4 ab_c", "1 3 4 ab_c", "2 3 4 ab_c"])
+    message = (
+        "no tree has this table: triple (1, 3, 4) is ab_c where the tree read "
+        "off the table has ba_c; 2 of 4 triples disagree"
+    )
+    with pytest.raises(DidendriticError, match=re.escape(message)):
+        decode(bad)
+    assert axioms_check(bad) == [message]
+
+
+def test_left_of_rejects_table_no_tree_has():
+    bad = from_lines(["1 2 3 c_ab", "1 2 4 ab_c", "1 3 4 ab_c", "2 3 4 ab_c"])
+    with pytest.raises(DidendriticError):
+        left_of(bad, 1, 2, 1, 1)
+    with pytest.raises(DidendriticError):
+        right_of(bad, 1, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
