@@ -124,9 +124,10 @@ class DidendriticArray:
 
     Entries are stored once per unordered triple, keyed by the sorted
     ordering; entry() rewrites the stored type for any other ordering.
+    The hash and the decoded tree are computed on first use.
     """
 
-    __slots__ = ("labels", "_entries", "_hash")
+    __slots__ = ("labels", "_entries", "_hash", "_tree")
 
     def __init__(
         self,
@@ -146,6 +147,7 @@ class DidendriticArray:
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "_entries", table)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_tree", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DidendriticArray is immutable")
@@ -258,12 +260,12 @@ def decode(arr: DidendriticArray) -> LabeledBinaryTree:
     order = sorted(
         labs, key=cmp_to_key(lambda a, b: -1 if _pair_orientation(arr, a, b) else 1)
     )
-    words: set[Vertex] = set()
+    shape = bytearray()
     labels: dict[Vertex, int] = {}
-    stack = [(0, len(order), ROOT)]  # order[lo:hi] hangs below prefix
+    stack = [(0, len(order), ROOT)]  # order[lo:hi] hangs below prefix, left popped first
     while stack:
         lo, hi, prefix = stack.pop()
-        words.add(prefix)
+        shape.append(hi - lo > 1)
         if hi - lo == 1:
             labels[prefix] = order[lo]
             continue
@@ -274,7 +276,7 @@ def decode(arr: DidendriticArray) -> LabeledBinaryTree:
             hi - 1,
         )
         stack += ((mid, hi, prefix + (1,)), (lo, mid, prefix + (0,)))
-    lt = LabeledBinaryTree.from_labels(BinaryTree(frozenset(words)), labels)
+    lt = LabeledBinaryTree.from_labels(BinaryTree(bytes(shape)), labels)
     got = encode(lt)
     if got != arr:
         wrong = [
@@ -302,7 +304,10 @@ def _branch_order(arr: DidendriticArray, h: int, i: int, j: int, k: int) -> Orde
     for lab in (h, i, j, k):
         if lab not in arr.labels:
             raise KeyError(f"label {lab} not present")
-    lt = decode(arr)
+    lt = arr._tree
+    if lt is None:  # a table no tree has raises here, on every call
+        lt = decode(arr)
+        object.__setattr__(arr, "_tree", lt)
     t, leaf = lt.tree, lt.leaf_of_label
     return order_query(t, mrca(t, leaf[h], leaf[i]), mrca(t, leaf[j], leaf[k]))
 

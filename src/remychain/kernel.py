@@ -27,6 +27,8 @@ from .trees import (
     catalan,
     enumerate_trees,
     _common_prefix_len,
+    _leaf_counts,
+    _subtree_ends,
     word_str,
 )
 
@@ -43,13 +45,15 @@ def double_factorial_odd(m: int) -> int:
 
 def _preorder_children(t: BinaryTree) -> tuple[list[int], list[tuple[int, int] | None]]:
     """Depth and child indices of each vertex of t, in preorder."""
-    order = sorted(t.words)
-    index = {v: i for i, v in enumerate(order)}
-    kids = [
-        (index[v + (0,)], index[v + (1,)]) if v + (0,) in index else None
-        for v in order
-    ]
-    return [len(v) for v in order], kids
+    shape = t.shape
+    ends = _subtree_ends(shape)
+    depth = [0] * len(shape)
+    kids: list[tuple[int, int] | None] = [None] * len(shape)
+    for i, internal in enumerate(shape):
+        if internal:
+            kids[i] = left, right = i + 1, ends[i + 1]
+            depth[left] = depth[right] = depth[i] + 1
+    return depth, kids
 
 
 @lru_cache(maxsize=COUNT_CACHE_SIZE)
@@ -93,11 +97,11 @@ def span_words(words: Sequence[Sequence[int]]) -> tuple[BinaryTree, list[Vertex]
     Returns the tree and, for each word in order, the leaf it becomes.
     """
     leaf_of: list[Vertex] = [ROOT] * len(words)
-    tree_words: set[Vertex] = set()
-    stack = [(list(range(len(words))), 0, ROOT)]
+    shape = bytearray()
+    stack = [(list(range(len(words))), 0, ROOT)]  # left group popped first: preorder
     while stack:
         group, d, prefix = stack.pop()
-        tree_words.add(prefix)
+        shape.append(len(group) > 1)
         if len(group) == 1:
             leaf_of[group[0]] = prefix
             continue
@@ -106,7 +110,7 @@ def span_words(words: Sequence[Sequence[int]]) -> tuple[BinaryTree, list[Vertex]
             d += 1
         stack.append(([i for i in group if words[i][d] == 1], d + 1, prefix + (1,)))
         stack.append(([i for i in group if words[i][d] == 0], d + 1, prefix + (0,)))
-    return BinaryTree(frozenset(tree_words)), leaf_of
+    return BinaryTree(bytes(shape)), leaf_of
 
 
 def spanned_subtree_with_map(
@@ -235,10 +239,10 @@ def complete_tree(k: int) -> BinaryTree:
         raise ValueError("negative depth")
     if k > MAX_COMPLETE_DEPTH:
         raise ValueError(f"depth is guarded at {MAX_COMPLETE_DEPTH}")
-    words = [
-        w for d in range(k + 1) for w in itertools.product((0, 1), repeat=d)
-    ]
-    return BinaryTree(frozenset(words))
+    shape = b"\x00"
+    for _ in range(k):
+        shape = b"\x01" + shape + shape
+    return BinaryTree(shape)
 
 
 def kappa_shape_prob(s: BinaryTree) -> Fraction:
@@ -255,7 +259,9 @@ def kappa_shape_prob(s: BinaryTree) -> Fraction:
 
 def _split_product(s: BinaryTree) -> int:
     """prod_v (2^{#s(v)-1} - 1) over the internal vertices v of s."""
-    return math.prod(2 ** (s.leaves_below(v) - 1) - 1 for v in s.internal)
+    return math.prod(
+        2 ** (c - 1) - 1 for c, internal in zip(_leaf_counts(s.shape), s.shape) if internal
+    )
 
 
 def kernel_limit_complete(s: BinaryTree) -> Fraction:
@@ -289,6 +295,27 @@ def check_harmonic(
 # The chain conditioned to converge to the complete tree
 
 
+def _selection_weights(s: BinaryTree) -> list[Fraction]:
+    """h_transform_weights in preorder, from one pass over the shape."""
+    if s.level < 1:
+        raise ValueError("need at least two leaves")
+    shape = s.shape
+    ends = _subtree_ends(shape)
+    above = [Fraction(1)] * len(shape)  # product of the factors of proper ancestors
+    weights = []
+    for i, internal in enumerate(shape):
+        cnt = (ends[i] - i + 1) // 2
+        if internal:
+            above[i + 1] = above[ends[i + 1]] = above[i] * Fraction(
+                2 ** (cnt - 1) - 1, 2**cnt - 1
+            )
+        weights.append(above[i] / (2**cnt - 1))
+    total = sum(weights)
+    if total != 1:
+        raise AssertionError(f"selection weights sum to {total}, not 1")
+    return weights
+
+
 def h_transform_weights(s: BinaryTree) -> dict[Vertex, Fraction]:
     """Vertex selection weights of the conditioned growth step.
 
@@ -296,21 +323,7 @@ def h_transform_weights(s: BinaryTree) -> dict[Vertex, Fraction]:
     (2^{#s(u)-1} - 1) / (2^{#s(u)} - 1), times 1/(2^{#s(v)} - 1) with
     #s(v) = 1 at leaves.  The weights sum to one by telescoping.
     """
-    if s.level < 1:
-        raise ValueError("need at least two leaves")
-    weights: dict[Vertex, Fraction] = {}
-    for v in sorted(s.words):
-        w = Fraction(1)
-        for d in range(len(v)):
-            cnt = s.leaves_below(v[:d])
-            w *= Fraction(2 ** (cnt - 1) - 1, 2**cnt - 1)
-        cnt_v = s.leaves_below(v)
-        w /= 2**cnt_v - 1
-        weights[v] = w
-    total = sum(weights.values())
-    if total != 1:
-        raise AssertionError(f"selection weights sum to {total}, not 1")
-    return weights
+    return dict(zip(s, _selection_weights(s)))
 
 
 def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
@@ -319,23 +332,21 @@ def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
     Picks a vertex with the exact weights above, then clones it and
     reattaches its subtree to a fair-coin side, as in the plain growth step.
     """
-    from .remy import apply_forward_move
+    from .remy import _grow
 
-    weights = h_transform_weights(s)
-    vertices = sorted(weights)
-    probs = [float(weights[v]) for v in vertices]
-    v = vertices[rng.choice(len(vertices), p=probs)]
+    probs = [float(w) for w in _selection_weights(s)]
+    i = int(rng.choice(len(probs), p=probs))
     side = int(rng.integers(2))
-    return apply_forward_move(s, v, side)
+    return BinaryTree(_grow(s.shape, i, side))
 
 
 def h_transform_step_law(s: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step law of h_transform_step_complete."""
-    from .remy import _aggregate, apply_forward_move
+    from .remy import _aggregate, _grow
 
     return _aggregate(
-        (apply_forward_move(s, v, side), w / 2)
-        for v, w in h_transform_weights(s).items()
+        (BinaryTree(_grow(s.shape, i, side)), w / 2)
+        for i, w in enumerate(_selection_weights(s))
         for side in (0, 1)
     )
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
+from itertools import compress, count, islice
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .kernel import count_embeddings, span_words
 from .rng import Rng
@@ -25,8 +26,7 @@ from .trees import (
     BinaryTree,
     LabeledBinaryTree,
     Vertex,
-    sibling,
-    validate_tree,
+    _subtree_end,
     word_str,
 )
 
@@ -37,31 +37,37 @@ T = TypeVar("T")
 # Forward growth
 
 
+def _grow(shape: bytes, i: int, side: int) -> bytes:
+    """Forward move at the vertex with preorder index i.
+
+    A fresh internal vertex takes i's place, with i's subtree on `side` and
+    a fresh leaf on the other side.
+    """
+    if side:
+        return shape[:i] + b"\x01\x00" + shape[i:]
+    end = _subtree_end(shape, i)
+    return shape[:i] + b"\x01" + shape[i:end] + b"\x00" + shape[end:]
+
+
 def forward_moves(t: BinaryTree) -> list[tuple[Vertex, int]]:
-    """The 2(2n+1) equally likely (vertex, side) moves out of t."""
-    return [(v, side) for v in sorted(t.words) for side in (0, 1)]
+    """The 2(2n+1) equally likely (vertex, side) moves out of t.
+
+    Move k is the vertex with preorder index k // 2, on side k % 2.
+    """
+    return [(v, side) for v in t for side in (0, 1)]
 
 
 def apply_forward_move(t: BinaryTree, v: Vertex, side: int) -> BinaryTree:
     """Splice a cherry into the edge above v, pushing v's subtree to `side`."""
-    if v not in t.words:
-        raise KeyError(f"{word_str(v)} is not a vertex")
+    i = t.index(v)
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    k = len(v)
-    words = {w for w in t.words if w[:k] != v}
-    words.add(v)
-    words.add(v + (1 - side,))
-    for w in t.words:
-        if w[:k] == v:
-            words.add(v + (side,) + w[k:])
-    return BinaryTree(frozenset(words))
+    return BinaryTree(_grow(t.shape, i, side))
 
 
 def remy_forward_step(t: BinaryTree, rng: Rng) -> BinaryTree:
-    moves = forward_moves(t)
-    v, side = moves[rng.integers(len(moves))]
-    return apply_forward_move(t, v, side)
+    i, side = divmod(int(rng.integers(2 * len(t))), 2)
+    return BinaryTree(_grow(t.shape, i, side))
 
 
 def remy_chain(n: int, rng: Rng) -> BinaryTree:
@@ -95,9 +101,11 @@ def _propagate(
 
 def forward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step distribution, aggregating the 2(2n+1) moves."""
-    moves = forward_moves(t)
-    p = Fraction(1, len(moves))
-    return _aggregate((apply_forward_move(t, v, side), p) for v, side in moves)
+    shape = t.shape
+    p = Fraction(1, 2 * len(shape))
+    return _aggregate(
+        (BinaryTree(_grow(shape, i, side)), p) for i in range(len(shape)) for side in (0, 1)
+    )
 
 
 def chain_push_forward(n: int) -> dict[BinaryTree, Fraction]:
@@ -168,37 +176,55 @@ def labeled_chain_push_forward(n: int) -> dict[LabeledBinaryTree, Fraction]:
 # Backward (leaf deletion) dynamics
 
 
-def backward_moves(t: BinaryTree) -> tuple[Vertex, ...]:
-    """The equally likely leaves whose deletion defines the backward step."""
+def _prune(shape: bytes, i: int) -> bytes:
+    """Backward move at the leaf with preorder index i > 0.
+
+    The leaf and its parent go, and the sibling's subtree takes the
+    parent's place.  The parent is the nearest internal j before i with at
+    most one whole subtree in shape[j+1:i]: none when the leaf is a left
+    child (j = i - 1), its left sibling's when it is a right child.
+    """
+    j, excess = i - 1, 0  # excess: leaves minus internal vertices in shape[j+1:i]
+    while not shape[j] or excess > 1:
+        excess += -1 if shape[j] else 1
+        j -= 1
+    return shape[:j] + shape[j + 1 : i] + shape[i + 1 :]
+
+
+_LEAF_MARKS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _leaf_positions(t: BinaryTree) -> Iterator[int]:
+    """Preorder indices of the leaves, in the order of backward_moves."""
     if t.n_leaves < 2:
         raise ValueError("the single-vertex tree has no predecessor")
-    return t.leaves
+    return compress(count(), t.shape.translate(_LEAF_MARKS))
+
+
+def backward_moves(t: BinaryTree) -> tuple[Vertex, ...]:
+    """The equally likely leaves whose deletion defines the backward step."""
+    vertices = tuple(t)
+    return tuple(vertices[i] for i in _leaf_positions(t))
 
 
 def apply_backward_move(t: BinaryTree, leaf: Vertex) -> BinaryTree:
     """Delete `leaf` and its parent edge, grafting the sibling subtree up."""
-    if leaf not in t.words or leaf + (0,) in t.words:
+    if leaf not in t or not t.is_leaf(leaf):
         raise KeyError(f"{word_str(leaf)} is not a leaf")
     if leaf == ROOT:
         raise ValueError("cannot delete the root")
-    parent = leaf[:-1]
-    sib = sibling(leaf)
-    k = len(parent)
-    words = {w for w in t.words if w[:k] != parent}
-    for w in t.subtree_words(sib):
-        words.add(parent + w[k + 1 :])
-    return BinaryTree(frozenset(words))
+    return BinaryTree(_prune(t.shape, t.index(leaf)))
 
 
 def backward_step(t: BinaryTree, rng: Rng) -> BinaryTree:
-    leaves = backward_moves(t)
-    return apply_backward_move(t, leaves[rng.integers(len(leaves))])
+    leaves = _leaf_positions(t)
+    i = next(islice(leaves, int(rng.integers(t.n_leaves)), None))
+    return BinaryTree(_prune(t.shape, i))
 
 
 def backward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
-    leaves = backward_moves(t)
-    p = Fraction(1, len(leaves))
-    return _aggregate((apply_backward_move(t, leaf), p) for leaf in leaves)
+    p = Fraction(1, t.n_leaves)
+    return _aggregate((BinaryTree(_prune(t.shape, i)), p) for i in _leaf_positions(t))
 
 
 def backward_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
@@ -215,7 +241,6 @@ def deterministic_unlabel_step(lt: LabeledBinaryTree) -> LabeledBinaryTree:
         raise ValueError("need at least three leaves")
     leaf = lt.leaf_of_label[n_plus_2]
     parent = leaf[:-1]
-    sib = sibling(leaf)
     k = len(parent)
     new_tree = apply_backward_move(lt.tree, leaf)
     labels: dict[Vertex, int] = {}
@@ -282,34 +307,37 @@ class SpineState:
         return len(self.tosses)
 
 
+def _insert_toss(tosses: list[int], rng: Rng) -> None:
+    """spine_bridge_step in place on a list of tosses."""
+    slot = int(rng.integers(len(tosses) + 1))
+    tosses.insert(slot, int(rng.integers(2)))
+
+
 def spine_bridge_step(state: SpineState, rng: Rng) -> SpineState:
     """Insert a fresh fair bit at a uniform position among the n+1 slots."""
-    n = len(state.tosses)
-    slot = int(rng.integers(n + 1))
-    bit = int(rng.integers(2))
-    return SpineState(state.tosses[:slot] + (bit,) + state.tosses[slot:])
+    tosses = list(state.tosses)
+    _insert_toss(tosses, rng)
+    return SpineState(tuple(tosses))
 
 
 def spine_tree(state: SpineState) -> BinaryTree:
     """Tree read off the tosses: the spine plus one pendant leaf per level.
 
     Vertices are all prefixes of the toss word together with the siblings of
-    the nonempty ones; with n tosses this has 2n+1 vertices.
+    the nonempty ones; with n tosses this has 2n+1 vertices.  In preorder a
+    toss 0 (spine goes left) is an internal vertex whose pendant leaf comes
+    after the rest of the spine, a toss 1 an internal vertex then its leaf.
     """
-    words: set[Vertex] = {ROOT}
-    prefix: Vertex = ()
-    for b in state.tosses:
-        prefix = prefix + (b,)
-        words.add(prefix)
-        words.add(sibling(prefix))
-    return validate_tree(words)
+    tosses = state.tosses
+    head = b"".join(b"\x01\x00" if b else b"\x01" for b in tosses)
+    return BinaryTree(head + b"\x00" * (1 + tosses.count(0)))
 
 
 def spine_chain(n: int, rng: Rng) -> SpineState:
-    state = SpineState(())
+    tosses: list[int] = []
     for _ in range(n):
-        state = spine_bridge_step(state, rng)
-    return state
+        _insert_toss(tosses, rng)
+    return SpineState(tuple(tosses))
 
 
 # ---------------------------------------------------------------------------

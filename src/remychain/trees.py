@@ -1,9 +1,17 @@
-"""Finite rooted plane binary trees as prefix-closed word sets over {0,1}.
+"""Finite rooted plane binary trees, stored as their preorder shape.
 
-A tree is a finite set of words (tuples of bits) that is closed under
-prefixes and under taking siblings: if a word w + (b,) is a vertex then so
-is w + (1-b,).  The root is the empty word.  Such a set always has an odd
-number of vertices, 2m+1, consisting of m+1 leaves and m internal vertices.
+A tree with m+1 leaves has 2m+1 vertices.  `BinaryTree.shape` lists them in
+preorder (a vertex, then its left subtree, then its right subtree) as bytes,
+1 for an internal vertex and 0 for a leaf: the Lukasiewicz word of the tree.
+The subtree of vertex i is the shortest stretch shape[i:j] holding one more
+leaf than internal vertices, so its left child is i+1 and its right child
+starts where the left subtree ends.
+
+Vertices are also named by words over {0,1}: the root is the empty word and
+w + (b,) is the left (b=0) or right (b=1) child of w.  The word set is closed
+under prefixes and siblings, and sorted it is the preorder, so vertex k is
+sorted(t.words)[k] and the leaves are the zeros of the shape, left to right.
+`words`, `leaves` and `internal` are derived from the shape on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping
 
 Vertex = tuple[int, ...]
 
@@ -50,58 +59,113 @@ def parse_word(text: str) -> Vertex:
     return tuple(int(c) for c in text)
 
 
+def _subtree_end(shape: bytes, i: int) -> int:
+    """One past the last preorder index of the subtree at i, by scanning it."""
+    need = 1  # subtrees still to read
+    while need:
+        need += 1 if shape[i] else -1
+        i += 1
+    return i
+
+
+def _subtree_ends(shape: bytes) -> list[int]:
+    """_subtree_end of every vertex, in one right-to-left pass."""
+    ends = [0] * len(shape)
+    roots: list[int] = []  # roots of the whole subtrees right of i, nearest last
+    for i in range(len(shape) - 1, -1, -1):
+        if shape[i]:
+            roots.pop()  # the left child, i + 1
+            ends[i] = ends[roots.pop()]  # the right child's end is i's end
+        else:
+            ends[i] = i + 1
+        roots.append(i)
+    return ends
+
+
+def _leaf_counts(shape: bytes) -> list[int]:
+    """Number of leaves below each vertex, in preorder."""
+    return [(end - i + 1) // 2 for i, end in enumerate(_subtree_ends(shape))]
+
+
 @dataclass(frozen=True)
 class BinaryTree:
-    """Immutable plane binary tree; construct through validate_tree/from_words."""
+    """Immutable plane binary tree, stored as its preorder shape.
 
-    words: frozenset[Vertex]
+    Construct through validate_tree/from_words, the parsers or the moves;
+    the constructor trusts `shape` to describe a tree.
+    """
+
+    shape: bytes
 
     @staticmethod
     def from_words(words: Iterable[Vertex]) -> "BinaryTree":
         return validate_tree(words)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.words
+        return v in self._index
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.shape)
 
     def __iter__(self) -> Iterator[Vertex]:
-        return iter(sorted(self.words))
+        return iter(self._preorder)
+
+    def index(self, v: Vertex) -> int:
+        """Preorder index of the vertex named by the word v."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise KeyError(f"{word_str(v)} is not a vertex") from None
 
     def is_leaf(self, v: Vertex) -> bool:
-        if v not in self.words:
-            raise KeyError(f"{word_str(v)} is not a vertex")
-        return v + (0,) not in self.words
+        return not self.shape[self.index(v)]
+
+    @cached_property
+    def _preorder(self) -> tuple[Vertex, ...]:
+        """Vertex words in preorder, which is their sorted order."""
+        out: list[Vertex] = []
+        stack = [ROOT]  # words of the vertices still to visit, next last
+        for internal in self.shape:
+            v = stack.pop()
+            out.append(v)
+            if internal:
+                stack += (v + (1,), v + (0,))
+        return tuple(out)
+
+    @cached_property
+    def _index(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self._preorder)}
+
+    @cached_property
+    def words(self) -> frozenset[Vertex]:
+        return frozenset(self._preorder)
 
     @cached_property
     def leaves(self) -> tuple[Vertex, ...]:
         """Leaves in lexicographic (left to right) order."""
-        return tuple(sorted(v for v in self.words if v + (0,) not in self.words))
+        return tuple(v for v, b in zip(self._preorder, self.shape) if not b)
 
     @cached_property
     def internal(self) -> tuple[Vertex, ...]:
-        return tuple(sorted(v for v in self.words if v + (0,) in self.words))
+        return tuple(v for v, b in zip(self._preorder, self.shape) if b)
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return (len(self.shape) + 1) // 2
 
     @property
     def level(self) -> int:
         """m such that the tree has m+1 leaves and 2m+1 vertices."""
-        return self.n_leaves - 1
+        return len(self.shape) // 2
 
     def subtree_words(self, v: Vertex) -> list[Vertex]:
         """Vertices of the subtree rooted at v, as words relative to the root."""
-        if v not in self.words:
-            raise KeyError(f"{word_str(v)} is not a vertex")
-        k = len(v)
-        return [w for w in self.words if w[:k] == v]
+        i = self.index(v)
+        return list(self._preorder[i : _subtree_end(self.shape, i)])
 
     def leaves_below(self, v: Vertex) -> int:
-        k = len(v)
-        return sum(1 for w in self.leaves if w[:k] == v)
+        i = self.index(v)
+        return (_subtree_end(self.shape, i) - i + 1) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BinaryTree({encode_tree(self)!r})"
@@ -112,19 +176,20 @@ def validate_tree(words: Iterable[Vertex]) -> BinaryTree:
     ws = frozenset(tuple(w) for w in words)
     if not ws:
         raise TreeInvariantError("empty vertex set")
-    for w in sorted(ws):
+    order = sorted(ws)
+    for w in order:
         if any(b not in (0, 1) for b in w):
             raise TreeInvariantError(f"word {w!r} has a non-bit letter")
         if w and w[:-1] not in ws:
             raise TreeInvariantError(f"missing parent of {word_str(w)}")
         if w and sibling(w) not in ws:
             raise TreeInvariantError(f"missing sibling of {word_str(w)}")
-    return BinaryTree(ws)
+    return BinaryTree(bytes(w + (0,) in ws for w in order))
 
 
-SINGLETON = BinaryTree(frozenset({ROOT}))
+SINGLETON = BinaryTree(b"\x00")
 # The three-vertex tree: a root with two leaf children.
-ALEPH = BinaryTree(frozenset({(), (0,), (1,)}))
+ALEPH = BinaryTree(b"\x01\x00\x00")
 
 
 def catalan(m: int) -> int:
@@ -149,24 +214,19 @@ def enumerate_trees(m: int) -> tuple[BinaryTree, ...]:
         raise ValueError(f"enumeration is guarded at {MAX_ENUM_LEAVES} leaves")
     if m == 0:
         return (SINGLETON,)
-    out = []
-    for i in range(m):
-        for left in enumerate_trees(i):
-            for right in enumerate_trees(m - 1 - i):
-                words = {ROOT}
-                words.update((0,) + w for w in left.words)
-                words.update((1,) + w for w in right.words)
-                out.append(BinaryTree(frozenset(words)))
+    out = [
+        BinaryTree(b"\x01" + left.shape + right.shape)
+        for i in range(m)
+        for left in enumerate_trees(i)
+        for right in enumerate_trees(m - 1 - i)
+    ]
     out.sort(key=encode_tree)
     return tuple(out)
 
 
 def mrca(t: BinaryTree, u: Vertex, v: Vertex) -> Vertex:
     """Most recent common ancestor: the longest common prefix."""
-    if u not in t.words:
-        raise KeyError(f"{word_str(u)} is not a vertex")
-    if v not in t.words:
-        raise KeyError(f"{word_str(v)} is not a vertex")
+    t.index(u), t.index(v)  # both must be vertices
     return u[: _common_prefix_len(u, v)]
 
 
@@ -194,10 +254,7 @@ class Order(Enum):
 
 
 def order_query(t: BinaryTree, u: Vertex, v: Vertex) -> Order:
-    if u not in t.words:
-        raise KeyError(f"{word_str(u)} is not a vertex")
-    if v not in t.words:
-        raise KeyError(f"{word_str(v)} is not a vertex")
+    t.index(u), t.index(v)  # both must be vertices
     if u == v:
         return Order.EQUAL
     if v[: len(u)] == u:
@@ -235,85 +292,100 @@ class HarrisPath:
         return len(self.heights)
 
 
+def _contour(t: BinaryTree) -> list[tuple[int, int]]:
+    """(preorder index, depth) of each position of the contour walk."""
+    shape = t.shape
+    ends = _subtree_ends(shape)
+    out: list[tuple[int, int]] = []
+    stack = [(0, 0, True)]  # (vertex, depth, first visit); later visits emit only
+    while stack:
+        i, d, first = stack.pop()
+        out.append((i, d))
+        if first and shape[i]:
+            right, left = (ends[i + 1], d + 1, True), (i + 1, d + 1, True)
+            stack += ((i, d, False), right, (i, d, False), left)
+    return out
+
+
 def contour_vertices(t: BinaryTree) -> tuple[Vertex, ...]:
     """Vertices in contour order; leaves appear exactly once each."""
-    out: list[Vertex] = []
-    stack = [(ROOT, True)]  # (vertex, first visit); later visits emit only
-    while stack:
-        v, first = stack.pop()
-        out.append(v)
-        if first and v + (0,) in t.words:
-            stack += ((v, False), (v + (1,), True), (v, False), (v + (0,), True))
-    return tuple(out)
+    words = t._preorder
+    return tuple(words[i] for i, _ in _contour(t))
 
 
 def harris_path(t: BinaryTree) -> HarrisPath:
-    return HarrisPath(tuple(len(v) for v in contour_vertices(t)))
+    return HarrisPath(tuple(d for _, d in _contour(t)))
 
 
 def leaf_visit_indices(t: BinaryTree) -> tuple[int, ...]:
     """Positions of the contour walk that sit at a leaf, in leaf lex order."""
-    return tuple(
-        i for i, v in enumerate(contour_vertices(t)) if v + (0,) not in t.words
-    )
+    shape = t.shape
+    return tuple(pos for pos, (i, _) in enumerate(_contour(t)) if not shape[i])
 
 
 def harris_tree(path: HarrisPath) -> BinaryTree:
-    """Invert harris_path.  Raises ParseError if the walk is not binary."""
+    """Invert harris_path.  Raises ParseError if the walk is not binary.
+
+    A vertex is internal iff the walk steps down right after its first
+    visit, and the walk must leave every vertex with zero or two children.
+    """
     h = path.heights
-    words: set[Vertex] = set()
-    # h[lo:hi] is the contour of the subtree at `prefix`, whose root height
-    # is h[lo]; the walk starts and ends there.
-    stack = [(0, len(h), ROOT)]
-    while stack:
-        lo, hi, prefix = stack.pop()
-        words.add(prefix)
-        if hi - lo == 1:
-            continue
-        d = h[lo]
-        returns = [i for i in range(lo + 1, hi) if h[i] == d]
-        if len(returns) != 2 or returns[1] != hi - 1 or h[hi - 1] != d:
+    shape = bytearray()
+    kids = [0]  # children so far of each vertex on the walk's current path
+    first = True  # is the walk at a vertex it has not visited before?
+    for a, b in zip(h, h[1:]):
+        down = b > a
+        if first:
+            shape.append(down)
+        if down:
+            kids[-1] += 1
+            if kids[-1] > 2:
+                raise ParseError("walk does not describe a binary tree")
+            kids.append(0)
+        elif kids.pop() == 1:
             raise ParseError("walk does not describe a binary tree")
-        mid = returns[0]
-        stack += ((mid + 1, hi - 1, prefix + (1,)), (lo + 1, mid, prefix + (0,)))
-    return validate_tree(words)
+        first = down
+    if first:  # the one-vertex walk
+        shape.append(0)
+    if kids[0] == 1:
+        raise ParseError("walk does not describe a binary tree")
+    return BinaryTree(bytes(shape))
 
 
 # ---------------------------------------------------------------------------
 # Text encodings
 
 
-def _encode(t: BinaryTree, leaf_token: Callable[[Vertex], str]) -> str:
+def _encode(t: BinaryTree, leaf_tokens: Iterator[str]) -> str:
     """Parenthesis walk in preorder; an internal vertex wraps its two kids."""
-    words = t.words
     out: list[str] = []
-    stack: list[Vertex | None] = [ROOT]  # None stands for an internal vertex's ')'
-    while stack:
-        v = stack.pop()
-        if v is None:
-            out.append(")")
-            continue
-        left = v + (0,)
-        if left in words:
+    kids_left: list[int] = []  # per open internal vertex, kids still to come
+    for internal in t.shape:
+        if internal:
             out.append("(")
-            stack += (None, v + (1,), left)
-        else:
-            out.append(leaf_token(v))
+            kids_left.append(2)
+            continue
+        out.append(next(leaf_tokens))
+        while kids_left and kids_left[-1] == 1:
+            kids_left.pop()
+            out.append(")")
+        if kids_left:
+            kids_left[-1] = 1
     return "".join(out)
 
 
-def _decode(text: str, labeled: bool) -> tuple[set[Vertex], dict[Vertex, int]]:
-    """Parse a parenthesis encoding into its vertex words and leaf labels.
+def _decode(text: str, labeled: bool) -> tuple[bytes, list[int]]:
+    """Parse a parenthesis encoding into its preorder shape and its leaf
+    labels, left to right.
 
     Unlabeled leaves are '()', labeled ones '(k)' with k a decimal label.
     """
-    words: set[Vertex] = set()
-    labels: dict[Vertex, int] = {}
+    shape = bytearray()
+    labels: list[int] = []
     pos, end = 0, len(text)
-    stack: list[Vertex | None] = [ROOT]  # vertices to parse, None for a ')'
+    stack = [True]  # True for a vertex to parse, False for an internal's ')'
     while stack:
-        v = stack.pop()
-        if v is None:
+        if not stack.pop():
             if pos >= end or text[pos] != ")":
                 raise ParseError(f"expected ')' at position {pos}")
             pos += 1
@@ -321,31 +393,33 @@ def _decode(text: str, labeled: bool) -> tuple[set[Vertex], dict[Vertex, int]]:
         if pos >= end or text[pos] != "(":
             raise ParseError(f"expected '(' at position {pos}")
         pos += 1
-        words.add(v)
         if labeled and pos < end and text[pos].isdigit():
             start = pos
             while pos < end and text[pos].isdigit():
                 pos += 1
-            labels[v] = int(text[start:pos])
-            stack.append(None)
+            labels.append(int(text[start:pos]))
+            shape.append(0)
+            stack.append(False)
         elif pos < end and text[pos] == ")":
             if labeled:
                 raise ParseError(f"leaf at position {pos} is missing a label")
             pos += 1
+            shape.append(0)
         else:
-            stack += [None, v + (1,), v + (0,)]
+            shape.append(1)
+            stack += (False, True, True)
     if pos != end:
         raise ParseError(f"trailing characters at position {pos}")
-    return words, labels
+    return bytes(shape), labels
 
 
 def encode_tree(t: BinaryTree) -> str:
     """Balanced parentheses: a leaf is '()', an internal vertex wraps its kids."""
-    return _encode(t, lambda v: "()")
+    return _encode(t, repeat("()"))
 
 
 def decode_tree(text: str) -> BinaryTree:
-    return validate_tree(_decode(text, labeled=False)[0])
+    return BinaryTree(_decode(text, labeled=False)[0])
 
 
 def format_word_set(t: BinaryTree) -> str:
@@ -371,14 +445,14 @@ def parse_tree(text: str) -> BinaryTree:
 def to_dot(t: BinaryTree, labels: Mapping[Vertex, int] | None = None) -> str:
     """GraphViz export; leaves are boxes, labeled leaves show their label."""
     lines = ["digraph tree {", "  node [shape=circle];"]
-    for v in sorted(t.words):
+    for v, internal in zip(t, t.shape):
         name = word_str(v)
-        if v + (0,) not in t.words:
+        if not internal:
             txt = str(labels[v]) if labels and v in labels else name
             lines.append(f'  "{name}" [shape=box, label="{txt}"];')
         else:
             lines.append(f'  "{name}" [label="{name}"];')
-    for v in sorted(t.words):
+    for v in t:
         if v:
             lines.append(f'  "{word_str(v[:-1])}" -> "{word_str(v)}";')
     lines.append("}")
@@ -430,12 +504,13 @@ class LabeledBinaryTree:
 def encode_labeled_tree(lt: LabeledBinaryTree) -> str:
     """Parenthesis encoding with leaf labels, e.g. '(((1)(3))(2))'."""
     labels = lt.labels
-    return _encode(lt.tree, lambda v: f"({labels[v]})")
+    return _encode(lt.tree, (f"({labels[v]})" for v in lt.tree.leaves))
 
 
 def decode_labeled_tree(text: str) -> LabeledBinaryTree:
-    words, labels = _decode(text, labeled=True)
-    return LabeledBinaryTree.from_labels(validate_tree(words), labels)
+    shape, labels = _decode(text, labeled=True)
+    t = BinaryTree(shape)
+    return LabeledBinaryTree.from_labels(t, dict(zip(t.leaves, labels)))
 
 
 def enumerate_labeled_trees(m: int) -> Iterator[LabeledBinaryTree]:

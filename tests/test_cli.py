@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,44 @@ def test_kernel_on_deep_spine_without_recursion_limit(capsys):
     code, out, err = run(capsys, "kernel", "--s", "(()())", "--t", spine)
     assert code == EXIT_OK, err
     assert records(out)[0]["outputs"]["count"] == 1201 * 1200 // 2
+
+
+def test_bridge_to_deep_spine_without_recursion_limit(capsys):
+    _, out, _ = run(capsys, "spine", "--n", "1500", "--seed", "1")
+    spine = records(out)[0]["outputs"]["tree"]
+    code, out, err = run(capsys, "bridge", "--target", spine, "--seed", "2")
+    assert code == EXIT_OK, err
+    assert "RecursionError" not in err
+    path = records(out)[0]["outputs"]["path"]
+    assert len(path) == 1500 and path[0] == "(()())" and path[-1] == spine
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_pinned_growth_rows_do_not_depend_on_the_hash_seed(hash_seed):
+    # Trees hash as bytes, whose hash changes with PYTHONHASHSEED; the chain
+    # and bridge rows of test_seeded_stdout_is_pinned must not.
+    rows = [
+        (["chain", "--n", "30"], "d62c55b01b25e129"),
+        (["bridge", "--target", GOLDEN_TARGET], "9d2cc149da9d2482"),
+    ]
+    code = (
+        "import hashlib, io, sys, contextlib\n"
+        "from remychain.cli import dispatch\n"
+        "for argv in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        dispatch(argv.split() + ['--seed', '11', '--reps', '3'])\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])\n"
+    )
+    src = os.path.dirname(os.path.dirname(remy.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argvs = [" ".join(argv) for argv, _ in rows]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argvs], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [digest for _, digest in rows]
 
 
 def test_bridge_path_levels(capsys):

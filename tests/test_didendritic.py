@@ -334,6 +334,31 @@ def test_left_of_rejects_table_no_tree_has():
         right_of(bad, 1, 2, 3, 4)
 
 
+def test_order_queries_decode_each_array_once(monkeypatch):
+    from remychain import didendritic
+
+    calls = []
+
+    def counting_decode(arr):
+        calls.append(arr)
+        return decode(arr)
+
+    monkeypatch.setattr(didendritic, "decode", counting_decode)
+    lt = labeled_chain(9, make_rng(3))
+    arr = encode(lt)
+    t, leaf = lt.tree, lt.leaf_of_label
+    for h, i in itertools.permutations(range(1, 11), 2):
+        expect = order_query(t, mrca(t, leaf[h], leaf[i]), leaf[h])
+        assert left_of(arr, h, i, h, h) == (expect == Order.ANCESTOR_LEFT)
+        assert right_of(arr, h, i, h, h) == (expect == Order.ANCESTOR_RIGHT)
+    assert len(calls) == 1
+    bad = from_lines(["1 2 3 c_ab", "1 2 4 ab_c", "1 3 4 ab_c", "2 3 4 ab_c"])
+    for _ in range(3):
+        with pytest.raises(DidendriticError):
+            left_of(bad, 1, 2, 1, 1)
+    assert len(calls) == 4
+
+
 # ---------------------------------------------------------------------------
 # Restriction and the relabeling action
 
