@@ -67,10 +67,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _emit(rec: ExperimentRecord, pretty: bool, out=None) -> None:
     out = out or sys.stdout
     if pretty:
@@ -396,7 +392,7 @@ def _load_law(path: str) -> dict[str, Any]:
 def cmd_stats(args) -> int:
     if args.mode == "chi2":
         observed = {k: int(v) for k, v in _load_law(args.observed).items()}
-        expected = {k: parse_frac(str(v)) for k, v in _load_law(args.expected).items()}
+        expected = {k: Fraction(str(v)) for k, v in _load_law(args.expected).items()}
         try:
             report = stats.chi_square(observed, expected, args.significance)
         except ValueError as e:
@@ -421,8 +417,8 @@ def cmd_stats(args) -> int:
         _emit(rec, args.pretty)
         return EXIT_OK if report.passed else EXIT_STAT
     if args.mode == "tv":
-        p = {k: parse_frac(str(v)) for k, v in _load_law(args.observed).items()}
-        q = {k: parse_frac(str(v)) for k, v in _load_law(args.expected).items()}
+        p = {k: Fraction(str(v)) for k, v in _load_law(args.observed).items()}
+        q = {k: Fraction(str(v)) for k, v in _load_law(args.expected).items()}
         rec = ExperimentRecord(
             "stats",
             {"mode": "tv", "observed": args.observed, "expected": args.expected},

@@ -18,11 +18,9 @@ from functools import cmp_to_key
 from typing import Iterable, Mapping, Sequence
 
 from .trees import (
-    ROOT,
     BinaryTree,
     LabeledBinaryTree,
     Order,
-    Vertex,
     _common_prefix_len,
     mrca,
     order_query,
@@ -214,7 +212,7 @@ def encode(lt: LabeledBinaryTree) -> DidendriticArray:
         raise ValueError("need at least three leaves")
     leaf_of = lt.leaf_of_label
     labs = sorted(leaf_of)
-    pos = {lab: r for r, lab in enumerate(sorted(labs, key=leaf_of.__getitem__))}
+    pos = {lab: r for r, lab in enumerate(lt.leaf_labels)}
     depth = {
         (a, b): _common_prefix_len(leaf_of[a], leaf_of[b])
         for a, b in itertools.combinations(labs, 2)
@@ -261,13 +259,11 @@ def decode(arr: DidendriticArray) -> LabeledBinaryTree:
         labs, key=cmp_to_key(lambda a, b: -1 if _pair_orientation(arr, a, b) else 1)
     )
     shape = bytearray()
-    labels: dict[Vertex, int] = {}
-    stack = [(0, len(order), ROOT)]  # order[lo:hi] hangs below prefix, left popped first
+    stack = [(0, len(order))]  # runs order[lo:hi] still to build, left popped first
     while stack:
-        lo, hi, prefix = stack.pop()
+        lo, hi = stack.pop()
         shape.append(hi - lo > 1)
         if hi - lo == 1:
-            labels[prefix] = order[lo]
             continue
         a, b = order[lo], order[hi - 1]
         # a as the outer leaf puts order[m] in a cherry with b
@@ -275,8 +271,8 @@ def decode(arr: DidendriticArray) -> LabeledBinaryTree:
             (m for m in range(lo + 1, hi - 1) if arr.absolute(a, b, order[m])[2] == a),
             hi - 1,
         )
-        stack += ((mid, hi, prefix + (1,)), (lo, mid, prefix + (0,)))
-    lt = LabeledBinaryTree.from_labels(BinaryTree(bytes(shape)), labels)
+        stack += ((mid, hi), (lo, mid))
+    lt = LabeledBinaryTree(BinaryTree(bytes(shape)), tuple(order))
     got = encode(lt)
     if got != arr:
         wrong = [

@@ -523,8 +523,7 @@ def sample_didendritic(
         raise ValueError("m must be at least 1")
     _, types = _sample_classified(ensemble, m, rng, retry_cap)
     if m == 1:
-        order = {(0,): 1, (1,): 2} if types[(1, 2)] else {(0,): 2, (1,): 1}
-        return LabeledBinaryTree.from_labels(ALEPH, order)
+        return LabeledBinaryTree(ALEPH, (1, 2) if types[(1, 2)] else (2, 1))
     return didendritic.decode(DidendriticArray(range(1, m + 2), types))
 
 

@@ -332,20 +332,20 @@ def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
     Picks a vertex with the exact weights above, then clones it and
     reattaches its subtree to a fair-coin side, as in the plain growth step.
     """
-    from .remy import _grow
+    from .remy import _grow_tree
 
     probs = [float(w) for w in _selection_weights(s)]
     i = int(rng.choice(len(probs), p=probs))
     side = int(rng.integers(2))
-    return BinaryTree(_grow(s.shape, i, side))
+    return _grow_tree(s, i, side)
 
 
 def h_transform_step_law(s: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step law of h_transform_step_complete."""
-    from .remy import _aggregate, _grow
+    from .remy import _aggregate, _grow_tree
 
     return _aggregate(
-        (BinaryTree(_grow(s.shape, i, side)), w / 2)
+        (_grow_tree(s, i, side), w / 2)
         for i, w in enumerate(_selection_weights(s))
         for side in (0, 1)
     )

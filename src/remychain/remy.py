@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -37,16 +38,48 @@ T = TypeVar("T")
 # Forward growth
 
 
-def _grow(shape: bytes, i: int, side: int) -> bytes:
+def _grow(shape: bytes, i: int, side: int) -> tuple[bytes, int]:
     """Forward move at the vertex with preorder index i.
 
     A fresh internal vertex takes i's place, with i's subtree on `side` and
-    a fresh leaf on the other side.
+    a fresh leaf on the other side.  Returns the new shape and the preorder
+    index of the fresh leaf.
     """
     if side:
-        return shape[:i] + b"\x01\x00" + shape[i:]
+        return shape[:i] + b"\x01\x00" + shape[i:], i + 1
     end = _subtree_end(shape, i)
-    return shape[:i] + b"\x01" + shape[i:end] + b"\x00" + shape[end:]
+    return shape[:i] + b"\x01" + shape[i:end] + b"\x00" + shape[end:], end + 1
+
+
+def _grow_tree(t: BinaryTree, i: int, side: int) -> BinaryTree:
+    return BinaryTree(_grow(t.shape, i, side)[0])
+
+
+def _grow_labeled(lt: LabeledBinaryTree, i: int, side: int) -> LabeledBinaryTree:
+    """_grow_tree, with the next label inserted at the fresh leaf's rank."""
+    shape, pos = _grow(lt.tree.shape, i, side)
+    labels, rank = lt.leaf_labels, shape.count(0, 0, pos)
+    fresh = (len(labels) + 1,)
+    return LabeledBinaryTree(BinaryTree(shape), labels[:rank] + fresh + labels[rank:])
+
+
+def _move_index(t: BinaryTree, v: Vertex, side: int) -> int:
+    """Preorder index of v, once the move (v, side) is checked."""
+    i = t.index(v)
+    if side not in (0, 1):
+        raise ValueError("side must be 0 or 1")
+    return i
+
+
+def _draw_move(t: BinaryTree, rng: Rng) -> tuple[int, int]:
+    """Uniform (preorder index, side) among the 2(2n+1) moves out of t."""
+    return divmod(int(rng.integers(2 * len(t))), 2)
+
+
+def _move_law(t: BinaryTree, grow: Callable[[int, int], T]) -> dict[T, Fraction]:
+    """Law of grow(i, side) over the 2(2n+1) equally likely moves out of t."""
+    p = Fraction(1, 2 * len(t))
+    return _aggregate((grow(i, side), p) for i in range(len(t)) for side in (0, 1))
 
 
 def forward_moves(t: BinaryTree) -> list[tuple[Vertex, int]]:
@@ -59,15 +92,11 @@ def forward_moves(t: BinaryTree) -> list[tuple[Vertex, int]]:
 
 def apply_forward_move(t: BinaryTree, v: Vertex, side: int) -> BinaryTree:
     """Splice a cherry into the edge above v, pushing v's subtree to `side`."""
-    i = t.index(v)
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
-    return BinaryTree(_grow(t.shape, i, side))
+    return _grow_tree(t, _move_index(t, v, side), side)
 
 
 def remy_forward_step(t: BinaryTree, rng: Rng) -> BinaryTree:
-    i, side = divmod(int(rng.integers(2 * len(t))), 2)
-    return BinaryTree(_grow(t.shape, i, side))
+    return _grow_tree(t, *_draw_move(t, rng))
 
 
 def remy_chain(n: int, rng: Rng) -> BinaryTree:
@@ -101,11 +130,7 @@ def _propagate(
 
 def forward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step distribution, aggregating the 2(2n+1) moves."""
-    shape = t.shape
-    p = Fraction(1, 2 * len(shape))
-    return _aggregate(
-        (BinaryTree(_grow(shape, i, side)), p) for i in range(len(shape)) for side in (0, 1)
-    )
+    return _move_law(t, partial(_grow_tree, t))
 
 
 def chain_push_forward(n: int) -> dict[BinaryTree, Fraction]:
@@ -123,29 +148,14 @@ def apply_labeled_move(
     lt: LabeledBinaryTree, v: Vertex, side: int
 ) -> LabeledBinaryTree:
     """Forward move on a labeled tree; the fresh leaf gets the next label."""
-    t = lt.tree
-    new_tree = apply_forward_move(t, v, side)
-    k = len(v)
-    labels: dict[Vertex, int] = {}
-    for w, lab in lt.label_items:
-        if w[:k] == v:
-            labels[v + (side,) + w[k:]] = lab
-        else:
-            labels[w] = lab
-    labels[v + (1 - side,)] = lt.n_leaves + 1
-    return LabeledBinaryTree.from_labels(new_tree, labels)
+    return _grow_labeled(lt, _move_index(lt.tree, v, side), side)
 
 
 def labeled_forward_step(lt: LabeledBinaryTree, rng: Rng) -> LabeledBinaryTree:
-    moves = forward_moves(lt.tree)
-    v, side = moves[rng.integers(len(moves))]
-    return apply_labeled_move(lt, v, side)
+    return _grow_labeled(lt, *_draw_move(lt.tree, rng))
 
 
-ALEPH_LABELED = (
-    LabeledBinaryTree.from_labels(ALEPH, {(0,): 1, (1,): 2}),
-    LabeledBinaryTree.from_labels(ALEPH, {(0,): 2, (1,): 1}),
-)
+ALEPH_LABELED = (LabeledBinaryTree(ALEPH, (1, 2)), LabeledBinaryTree(ALEPH, (2, 1)))
 
 
 def labeled_chain(n: int, rng: Rng) -> LabeledBinaryTree:
@@ -160,9 +170,7 @@ def labeled_chain(n: int, rng: Rng) -> LabeledBinaryTree:
 def labeled_forward_step_law(
     lt: LabeledBinaryTree,
 ) -> dict[LabeledBinaryTree, Fraction]:
-    moves = forward_moves(lt.tree)
-    p = Fraction(1, len(moves))
-    return _aggregate((apply_labeled_move(lt, v, side), p) for v, side in moves)
+    return _move_law(lt.tree, partial(_grow_labeled, lt))
 
 
 def labeled_chain_push_forward(n: int) -> dict[LabeledBinaryTree, Fraction]:
@@ -236,28 +244,19 @@ def backward_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
 
 def deterministic_unlabel_step(lt: LabeledBinaryTree) -> LabeledBinaryTree:
     """Remove the highest-labeled leaf; remaining labels ride along."""
-    n_plus_2 = lt.n_leaves
-    if n_plus_2 < 3:
+    if lt.n_leaves < 3:
         raise ValueError("need at least three leaves")
-    leaf = lt.leaf_of_label[n_plus_2]
-    parent = leaf[:-1]
-    k = len(parent)
-    new_tree = apply_backward_move(lt.tree, leaf)
-    labels: dict[Vertex, int] = {}
-    for w, lab in lt.label_items:
-        if lab == n_plus_2:
-            continue
-        if w[:k] == parent:  # lives under the sibling, shifts up one level
-            labels[parent + w[k + 1 :]] = lab
-        else:
-            labels[w] = lab
-    return LabeledBinaryTree.from_labels(new_tree, labels)
+    labels = lt.leaf_labels
+    rank = extract_choice(lt) - 1
+    i = next(islice(_leaf_positions(lt.tree), rank, None))
+    return LabeledBinaryTree(
+        BinaryTree(_prune(lt.tree.shape, i)), labels[:rank] + labels[rank + 1 :]
+    )
 
 
 def extract_choice(lt: LabeledBinaryTree) -> int:
     """1-based rank, in leaf lex order, of the highest-labeled leaf."""
-    target = lt.leaf_of_label[lt.n_leaves]
-    return lt.tree.leaves.index(target) + 1
+    return lt.leaf_labels.index(lt.n_leaves) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ w + (b,) is the left (b=0) or right (b=1) child of w.  The word set is closed
 under prefixes and siblings, and sorted it is the preorder, so vertex k is
 sorted(t.words)[k] and the leaves are the zeros of the shape, left to right.
 `words`, `leaves` and `internal` are derived from the shape on first use.
+
+A `LabeledBinaryTree` adds `leaf_labels`, the labels of its leaves in that
+left-to-right order; its word-keyed label maps are derived on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -91,15 +95,11 @@ def _leaf_counts(shape: bytes) -> list[int]:
 class BinaryTree:
     """Immutable plane binary tree, stored as its preorder shape.
 
-    Construct through validate_tree/from_words, the parsers or the moves;
-    the constructor trusts `shape` to describe a tree.
+    Construct through validate_tree, the parsers or the moves; the
+    constructor trusts `shape` to describe a tree.
     """
 
     shape: bytes
-
-    @staticmethod
-    def from_words(words: Iterable[Vertex]) -> "BinaryTree":
-        return validate_tree(words)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._index
@@ -157,11 +157,6 @@ class BinaryTree:
     def level(self) -> int:
         """m such that the tree has m+1 leaves and 2m+1 vertices."""
         return len(self.shape) // 2
-
-    def subtree_words(self, v: Vertex) -> list[Vertex]:
-        """Vertices of the subtree rooted at v, as words relative to the root."""
-        i = self.index(v)
-        return list(self._preorder[i : _subtree_end(self.shape, i)])
 
     def leaves_below(self, v: Vertex) -> int:
         i = self.index(v)
@@ -305,12 +300,6 @@ def _contour(t: BinaryTree) -> list[tuple[int, int]]:
             right, left = (ends[i + 1], d + 1, True), (i + 1, d + 1, True)
             stack += ((i, d, False), right, (i, d, False), left)
     return out
-
-
-def contour_vertices(t: BinaryTree) -> tuple[Vertex, ...]:
-    """Vertices in contour order; leaves appear exactly once each."""
-    words = t._preorder
-    return tuple(words[i] for i, _ in _contour(t))
 
 
 def harris_path(t: BinaryTree) -> HarrisPath:
@@ -465,22 +454,29 @@ def to_dot(t: BinaryTree, labels: Mapping[Vertex, int] | None = None) -> str:
 
 @dataclass(frozen=True)
 class LabeledBinaryTree:
-    """A plane binary tree whose m+1 leaves carry the labels 1..m+1."""
+    """A plane binary tree whose m+1 leaves carry the labels 1..m+1.
+
+    `leaf_labels[r]` is the label of the r-th leaf from the left.  Construct
+    through from_labels, the parsers or the moves; like BinaryTree, the
+    constructor trusts its input.  The word maps `labels`, `leaf_of_label`
+    and `label_items` are derived on first use.
+    """
 
     tree: BinaryTree
-    label_items: tuple[tuple[Vertex, int], ...]
+    leaf_labels: tuple[int, ...]
 
     @staticmethod
     def from_labels(tree: BinaryTree, labels: Mapping[Vertex, int]) -> "LabeledBinaryTree":
-        leaves = set(tree.leaves)
-        if set(labels) != leaves:
+        if set(labels) != set(tree.leaves):
             raise TreeInvariantError("labels must be assigned to exactly the leaves")
-        vals = sorted(labels.values())
-        if vals != list(range(1, len(leaves) + 1)):
-            raise TreeInvariantError(
-                f"labels must be a bijection onto 1..{len(leaves)}, got {vals}"
-            )
-        return LabeledBinaryTree(tree, tuple(sorted(labels.items())))
+        leaf_labels = tuple(labels[v] for v in tree.leaves)
+        _check_bijection(leaf_labels)
+        return LabeledBinaryTree(tree, leaf_labels)
+
+    @cached_property
+    def label_items(self) -> tuple[tuple[Vertex, int], ...]:
+        """(leaf word, label) pairs, leaves left to right."""
+        return tuple(zip(self.tree.leaves, self.leaf_labels))
 
     @cached_property
     def labels(self) -> dict[Vertex, int]:
@@ -488,35 +484,37 @@ class LabeledBinaryTree:
 
     @cached_property
     def leaf_of_label(self) -> dict[int, Vertex]:
-        return {lab: v for v, lab in self.label_items}
+        return dict(zip(self.leaf_labels, self.tree.leaves))
 
     @property
     def n_leaves(self) -> int:
         return self.tree.n_leaves
 
-    def unlabel(self) -> BinaryTree:
-        return self.tree
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LabeledBinaryTree({encode_labeled_tree(self)!r})"
 
 
+def _check_bijection(leaf_labels: Iterable[int]) -> None:
+    vals = sorted(leaf_labels)
+    if vals != list(range(1, len(vals) + 1)):
+        raise TreeInvariantError(
+            f"labels must be a bijection onto 1..{len(vals)}, got {vals}"
+        )
+
+
 def encode_labeled_tree(lt: LabeledBinaryTree) -> str:
     """Parenthesis encoding with leaf labels, e.g. '(((1)(3))(2))'."""
-    labels = lt.labels
-    return _encode(lt.tree, (f"({labels[v]})" for v in lt.tree.leaves))
+    return _encode(lt.tree, (f"({lab})" for lab in lt.leaf_labels))
 
 
 def decode_labeled_tree(text: str) -> LabeledBinaryTree:
     shape, labels = _decode(text, labeled=True)
-    t = BinaryTree(shape)
-    return LabeledBinaryTree.from_labels(t, dict(zip(t.leaves, labels)))
+    _check_bijection(labels)
+    return LabeledBinaryTree(BinaryTree(shape), tuple(labels))
 
 
 def enumerate_labeled_trees(m: int) -> Iterator[LabeledBinaryTree]:
     """All (2m)!/m! leaf-labeled trees with m+1 leaves."""
-    import itertools
-
     for t in enumerate_trees(m):
         for perm in itertools.permutations(range(1, m + 2)):
-            yield LabeledBinaryTree(t, tuple(zip(t.leaves, perm)))
+            yield LabeledBinaryTree(t, perm)

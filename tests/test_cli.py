@@ -193,11 +193,16 @@ def test_bridge_to_deep_spine_without_recursion_limit(capsys):
 
 @pytest.mark.parametrize("hash_seed", ["1", "2"])
 def test_pinned_growth_rows_do_not_depend_on_the_hash_seed(hash_seed):
-    # Trees hash as bytes, whose hash changes with PYTHONHASHSEED; the chain
-    # and bridge rows of test_seeded_stdout_is_pinned must not.
+    # Trees hash as bytes and labeled trees as bytes plus a label tuple, and
+    # those hashes change with PYTHONHASHSEED; the chain, bridge and labeled
+    # ensemble rows of test_seeded_stdout_is_pinned must not.
     rows = [
         (["chain", "--n", "30"], "d62c55b01b25e129"),
         (["bridge", "--target", GOLDEN_TARGET], "9d2cc149da9d2482"),
+        (
+            ["ensemble-sample", "--kind", "excursion", "--dyck-n", "300", "--m", "20"],
+            "7ba278263a555a33",
+        ),
     ]
     code = (
         "import hashlib, io, sys, contextlib\n"

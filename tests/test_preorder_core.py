@@ -3,8 +3,10 @@
 The oracle stores a tree as its set of vertex words (the root is (), the
 children of w are w + (0,) and w + (1,)) and implements each operation by
 rebuilding that set, as the library did before it stored the preorder
-shape.  Random trees are grown by splitting leaves of a word set, so they
-do not come from the code under test.
+shape.  A labeled tree is a word set plus a dict from leaf words to labels,
+rewritten word by word on each move, as the library did before it stored
+labels in leaf order.  Random trees are grown by splitting leaves of a word
+set, so they do not come from the code under test.
 """
 
 import itertools
@@ -14,14 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remychain import (
+    LabeledBinaryTree,
     SpineState,
     count_embeddings,
+    decode_labeled_tree,
     decode_tree,
+    encode_labeled_tree,
     encode_tree,
     enumerate_trees,
     h_transform_weights,
     harris_path,
     harris_tree,
+    labeled_chain,
     make_rng,
     remy_chain,
     spine_tree,
@@ -30,9 +36,13 @@ from remychain import (
 from remychain.remy import (
     apply_backward_move,
     apply_forward_move,
+    apply_labeled_move,
     backward_moves,
     backward_step,
+    deterministic_unlabel_step,
+    extract_choice,
     forward_moves,
+    labeled_forward_step,
     remy_forward_step,
 )
 
@@ -121,6 +131,34 @@ def oracle_spine(tosses):
     return frozenset(words)
 
 
+def oracle_labeled_forward(labels, v, side):
+    k = len(v)
+    out = {}
+    for w, lab in labels.items():
+        if w[:k] == v:
+            out[v + (side,) + w[k:]] = lab
+        else:
+            out[w] = lab
+    out[v + (1 - side,)] = len(labels) + 1
+    return out
+
+
+def oracle_unlabel(labels):
+    top = len(labels)
+    leaf = next(w for w, lab in labels.items() if lab == top)
+    parent = leaf[:-1]
+    k = len(parent)
+    out = {}
+    for w, lab in labels.items():
+        if lab == top:
+            continue
+        if w[:k] == parent:  # lives under the sibling, shifts up one level
+            out[parent + w[k + 1 :]] = lab
+        else:
+            out[w] = lab
+    return leaf, out
+
+
 @st.composite
 def word_trees(draw, max_leaves=40):
     """A word set grown by splitting leaves picked by the drawn numbers."""
@@ -131,6 +169,15 @@ def word_trees(draw, max_leaves=40):
         words |= {v + (0,), v + (1,)}
         leaves += [v + (0,), v + (1,)]
     return frozenset(words)
+
+
+@st.composite
+def labeled_word_trees(draw, max_leaves=40):
+    """A word tree and a drawn bijection from its leaves onto 1..n."""
+    words = draw(word_trees(max_leaves))
+    leaves = oracle_leaves(words)
+    perm = draw(st.permutations(range(1, len(leaves) + 1)))
+    return words, dict(zip(leaves, perm))
 
 
 class FixedDraw:
@@ -232,3 +279,35 @@ def test_growth_never_builds_the_word_set():
     t = remy_chain(400, make_rng(0))
     encode_tree(t)
     assert "words" not in t.__dict__
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_word_trees())
+def test_labeled_moves_match_the_oracle(tree):
+    words, labels = tree
+    lt = LabeledBinaryTree.from_labels(validate_tree(words), labels)
+    assert lt.labels == labels
+    assert lt.leaf_of_label == {lab: v for v, lab in labels.items()}
+    assert lt.leaf_labels == tuple(labels[v] for v in oracle_leaves(words))
+    assert decode_labeled_tree(encode_labeled_tree(lt)) == lt
+    moves = [(v, side) for v in sorted(words) for side in (0, 1)]
+    for k, (v, side) in enumerate(moves):
+        grown = apply_labeled_move(lt, v, side)
+        assert grown.tree.words == oracle_forward(words, v, side)
+        assert grown.labels == oracle_labeled_forward(labels, v, side)
+        assert labeled_forward_step(lt, FixedDraw(k)) == grown
+    if lt.n_leaves < 3:
+        return
+    leaf, rest = oracle_unlabel(labels)
+    peeled = deterministic_unlabel_step(lt)
+    assert peeled.tree.words == oracle_backward(words, leaf)
+    assert peeled.labels == rest
+    assert extract_choice(lt) == oracle_leaves(words).index(leaf) + 1
+
+
+def test_labeled_growth_never_builds_the_word_index():
+    lt = labeled_chain(400, make_rng(0))
+    again = decode_labeled_tree(encode_labeled_tree(lt))
+    assert again == lt and hash(again) == hash(lt)
+    assert "_preorder" not in lt.tree.__dict__
+    assert "_preorder" not in again.tree.__dict__

@@ -1,5 +1,6 @@
 """Forward chain, labeled chain, backward moves, and the three bridges."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from remychain import (
     decode_tree,
     deterministic_unlabel_step,
     dyadic_bridge_sample,
+    encode_labeled_tree,
     enumerate_labeled_trees,
     enumerate_trees,
     extract_choice,
@@ -226,6 +228,33 @@ def test_extract_choice_is_uniform_under_uniform_label_law():
             counts[c] = counts.get(c, 0) + 1
         assert set(counts) == set(range(1, n + 2))
         assert len(set(counts.values())) == 1
+
+
+# Digests of seeded labeled output, measured on the implementation that kept
+# labels in a word-keyed map, before they were stored in leaf order.
+
+
+def short_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [(5, "636b8f69c52fc923"), (40, "46baa784106fd3a8"), (400, "4dc55f70e6de260c")],
+)
+def test_labeled_chain_output_is_pinned(n, digest):
+    assert short_digest(encode_labeled_tree(labeled_chain(n, make_rng(11)))) == digest
+
+
+def test_unlabel_peel_is_pinned():
+    lt = labeled_chain(40, make_rng(11))
+    lines = []
+    while lt.n_leaves > 2:
+        lines.append(f"{extract_choice(lt)} {encode_labeled_tree(lt)}")
+        lt = deterministic_unlabel_step(lt)
+    lines.append(encode_labeled_tree(lt))
+    assert len(lines) == 40
+    assert short_digest("\n".join(lines)) == "f6d0c9f1dc436e31"
 
 
 def test_choice_sequence_and_shape_form_bijection():

@@ -1,11 +1,13 @@
 """Total variation, empirical laws, and the pooled chi-square check."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import remychain
 from remychain import StatReport, chi_square, empirical_law, make_rng, tv_distance
 
 
@@ -120,4 +122,7 @@ def test_report_line_format():
 def test_import_leaves_scipy_unloaded():
     # scipy.stats costs most of a second; only chi_square needs it.
     code = "import sys, remychain; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    src = os.path.dirname(os.path.dirname(remychain.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
