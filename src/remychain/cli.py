@@ -391,7 +391,7 @@ def _load_law(path: str) -> dict[str, Any]:
 
 def cmd_stats(args) -> int:
     if args.mode == "chi2":
-        observed = {k: int(v) for k, v in _load_law(args.observed).items()}
+        observed = _load_law(args.observed)
         expected = {k: Fraction(str(v)) for k, v in _load_law(args.expected).items()}
         try:
             report = stats.chi_square(observed, expected, args.significance)

@@ -373,7 +373,7 @@ def axioms_check(arr: DidendriticArray) -> list[str]:
 
 def to_lines(arr: DidendriticArray) -> list[str]:
     return [
-        f"{a} {b} {c} {arr.entry(a, b, c).token}"
+        f"{a} {b} {c} {arr._entries[a, b, c].token}"
         for a, b, c in itertools.combinations(arr.labels, 3)
     ]
 

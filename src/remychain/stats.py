@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -59,14 +61,21 @@ def chi_square(
     five counts; the statistic is compared against the upper `significance`
     quantile of the chi-square law with (cells - 1) degrees of freedom.
     Observed outcomes missing from `expected` are rejected, since any mass
-    outside the support already falsifies the law.
+    outside the support already falsifies the law.  The quantile inverts the
+    closed-form chi-square tail for integer dof by bisection, in the standard
+    library alone.
     """
+    if not 0.0 < significance < 1.0:
+        raise ValueError(f"significance must lie strictly between 0 and 1, not {significance}")
     extra = [k for k in observed if k not in expected]
     if extra:
         raise ValueError(f"observed outcomes outside the expected support: {extra[:5]}")
     total_prob = sum(Fraction(v) for v in expected.values())
     if abs(total_prob - 1) > Fraction(1, 10**12):
         raise ValueError(f"expected probabilities sum to {float(total_prob)}, not 1")
+    for key, count in observed.items():
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"observed count of {key!r} is not a non-negative integer: {count!r}")
     n = sum(observed.values())
     if n <= 0:
         raise ValueError("need at least one observation")
@@ -93,11 +102,7 @@ def chi_square(
 
     statistic = sum((o - n * p) ** 2 / (n * p) for p, o in pooled)
     dof = len(pooled) - 1
-    # Imported here: scipy.stats takes most of a second to import, and no
-    # other function needs it.
-    from scipy.stats import chi2
-
-    threshold = float(chi2.ppf(1.0 - significance, dof))
+    threshold = _chi2_upper_quantile(significance, dof)
     return StatReport(
         name=name,
         statistic=float(statistic),
@@ -106,3 +111,40 @@ def chi_square(
         sample_size=n,
         dof=dof,
     )
+
+
+def _chi2_tail(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer `dof` (Abramowitz-Stegun 26.4.4/5).
+
+    With h = x/2 the tail is the sum of h**j * exp(-h) / Gamma(j + 1) over
+    j = 0, 1, ... (even dof) or j = 1/2, 3/2, ... (odd dof, plus erfc(sqrt h))
+    up to dof/2 - 1; each term is formed in log space, so at large dof neither
+    h**j nor Gamma(j + 1) overflows and exp(-h) does not underflow alone.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    log_h = math.log(h)
+    half = 0.5 if dof % 2 else 0.0
+    terms = [
+        math.exp((half + i) * log_h - h - math.lgamma(half + i + 1.0))
+        for i in range(dof // 2)
+    ]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return math.fsum(terms)
+
+
+def _chi2_upper_quantile(significance: float, dof: int) -> float:
+    """The x with P(X > x) = significance: bracket by doubling, then bisect."""
+    lo, hi = 0.0, float(dof)
+    while _chi2_tail(hi, dof) > significance:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _chi2_tail(mid, dof) > significance:
+            lo = mid
+        else:
+            hi = mid

@@ -448,6 +448,32 @@ def test_stats_chi2_pass_and_fail(capsys, tmp_path):
     assert records(out)[0]["outputs"]["passed"] is False
 
 
+def chi2_argv(tmp_path, observed):
+    obs = tmp_path / "obs.json"
+    exp = tmp_path / "exp.json"
+    obs.write_text(json.dumps(observed))
+    exp.write_text(json.dumps({"a": "1/2", "b": "1/2"}))
+    return ["stats", "--mode", "chi2", "--observed", str(obs), "--expected", str(exp)]
+
+
+@pytest.mark.parametrize("count", [[1], 1.7, -5, True, "3", None])
+def test_stats_chi2_rejects_bad_counts(capsys, tmp_path, count):
+    code, out, err = run(capsys, *chi2_argv(tmp_path, {"a": count, "b": 499}))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'a'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("significance", ["2", "nan", "0", "1", "-0.5"])
+def test_stats_chi2_rejects_bad_significance(capsys, tmp_path, significance):
+    argv = chi2_argv(tmp_path, {"a": 501, "b": 499})
+    code, out, err = run(capsys, *argv, "--significance", significance)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "significance" in err
+
+
 def test_stats_tv_mode(capsys, tmp_path):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"

@@ -1,5 +1,7 @@
 """Total variation, empirical laws, and the pooled chi-square check."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,9 @@ import pytest
 
 import remychain
 from remychain import StatReport, chi_square, empirical_law, make_rng, tv_distance
+from remychain.stats import _chi2_tail, _chi2_upper_quantile
+
+SIGNIFICANCES = [0.1, 0.05, 0.01, 1e-3, 1e-6, 1e-9]
 
 
 def test_tv_distance_identical_laws():
@@ -126,3 +131,49 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("significance", SIGNIFICANCES)
+def test_chi2_quantile_at_two_dof_is_minus_twice_log(significance):
+    # the two-dof tail is exp(-x/2)
+    assert _chi2_upper_quantile(significance, 2) == pytest.approx(
+        -2 * math.log(significance), rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 17, 118, 119, 200])
+@pytest.mark.parametrize("significance", SIGNIFICANCES)
+def test_chi2_tail_at_quantile_returns_significance(dof, significance):
+    x = _chi2_upper_quantile(significance, dof)
+    assert _chi2_tail(x, dof) == pytest.approx(significance, rel=1e-12)
+
+
+@pytest.mark.parametrize("significance", SIGNIFICANCES)
+def test_chi2_quantile_matches_scipy(significance):
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for dof in range(1, 201):
+        ref = chi2.isf(significance, dof)
+        assert _chi2_upper_quantile(significance, dof) == pytest.approx(ref, rel=1e-12), dof
+
+
+def test_stats_cli_runs_without_scipy(tmp_path):
+    obs = tmp_path / "obs.json"
+    exp = tmp_path / "exp.json"
+    obs.write_text(json.dumps({"a": 334, "b": 333, "c": 333}))
+    exp.write_text(json.dumps({"a": "1/3", "b": "1/3", "c": "1/3"}))
+    argv = ["stats", "--mode", "chi2", "--observed", str(obs), "--expected", str(exp)]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from remychain import cli\n"
+        f"sys.exit(cli.dispatch({argv!r}))"
+    )
+    src = os.path.dirname(os.path.dirname(remychain.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["dof"] == 2
+    assert outputs["threshold"] == pytest.approx(-2 * math.log(0.01), rel=1e-14)
