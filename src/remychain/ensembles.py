@@ -5,8 +5,10 @@ measure, and a left/right rule W.  Leaves are sampled as points of S; for
 any two samples the segment from the base point to their branch point is
 comparable against other such segments, and W orients pairs at their branch
 point.  Three segment comparisons classify every triple of samples, which
-yields the triple-type table of a labeled tree; decoding the table turns
-independent samples into the tree they span.
+yields the triple-type table of a labeled tree.  The tree the samples span
+is built directly: sorted into leaf order by W, the branch points of
+neighbouring samples form its internal vertices in order, and one stack
+over them places each under its parent.
 
 Three ensembles are provided: the unit interval with coin-flip orientation
 (the comb limit), infinite fair-coin sequences under longest-common-prefix
@@ -19,15 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cmp_to_key
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from . import didendritic
 from .didendritic import DidendriticArray, TripleType
 from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
-from .trees import ALEPH, HarrisPath, LabeledBinaryTree
+from .trees import BinaryTree, HarrisPath, LabeledBinaryTree, _subtree_ends
 
 ULTRAMETRIC_TOL = 1e-9
 
@@ -328,6 +330,20 @@ class ExcursionEnsemble:
                 raise ValueError("support indices must be distinct")
             if any(not 0 <= i < n for i in self.support):
                 raise ValueError("support index out of range")
+        self._law: _ConditionedLaw | None = None  # for the last m asked
+
+    def _conditioned_draw(self, m: int, rng: Rng) -> list[ExcursionPoint]:
+        """m+1 points from the law of i.i.d. support samples conditioned on
+        distinct indices and no degenerate triple, labels in sampling order."""
+        if self._law is None or self._law.size != m + 1:
+            self._law = _ConditionedLaw(self.grid.heights, self.support, m + 1)
+        if not self._law.total:
+            raise RetryLimitError(
+                f"no sample exists: no {m + 1} distinct indices of the "
+                f"{len(self.support)} in the support avoid a degenerate triple"
+            )
+        chosen = self._law.draw(rng)
+        return [self.point_at(chosen[j]) for j in rng.permutation(m + 1)]
 
     def point_at(self, index: int, aux: float = 0.5) -> ExcursionPoint:
         if not 0 <= index < len(self.grid.heights):
@@ -371,6 +387,152 @@ class ExcursionEnsemble:
 
     def left_value(self, a: ExcursionPoint, b: ExcursionPoint) -> int:
         return 1 if a.index < b.index else 0
+
+
+def _randbelow(rng: Rng, n: int) -> int:
+    """Uniform integer in [0, n) for any n >= 1, by rejection on random bytes."""
+    bits = n.bit_length()
+    nbytes = (bits + 7) // 8
+    while True:
+        r = int.from_bytes(rng.bytes(nbytes), "little") >> (8 * nbytes - bits)
+        if r < n:
+            return r
+
+
+def _coeff(p: Sequence[int], k: int) -> int:
+    return p[k] if 0 <= k < len(p) else 0
+
+
+class _ConditionedLaw:
+    """Uniform law on the `size`-sets of support indices with no degenerate triple.
+
+    Indices i < j sit on one vertex of the coded tree, a class, when
+    h[i] = h[j] = min h[i..j].  The directions of a class are its own
+    indices and the subtrees hanging between, before and after them; three
+    indices make a degenerate triple exactly when they lie in three
+    directions of one class (their three pairwise branch classes coincide).
+    So a set of distinct indices is valid when no class has more than two
+    occupied directions, and i.i.d. uniform support samples conditioned on
+    validity are a uniform valid set in uniform order.
+
+    A postorder pass counts, for each class, the nonempty valid sets inside
+    its subtree by size, as a polynomial truncated at degree `size`: with
+    G1 and G2 the counts that use one and two directions, the class's w own
+    support indices start them at w·x and C(w, 2)·x², and each child
+    subtree's count F adds G2 += G1·F, then G1 += F.  A uniform rank below
+    the total is unranked back down the tree, recomputing those prefix
+    counts on the classes it visits.  Counting costs O(n·size²) in exact
+    integers.
+    """
+
+    def __init__(self, heights: Sequence[float], support: Sequence[int], size: int) -> None:
+        self.size = size
+        in_support = bytearray(len(heights))
+        for i in support:
+            in_support[i] = 1
+        members: list[list[int]] = []  # support indices of each class
+        children: list[list[int]] = []  # in index order
+        counts: list[list[int]] = []  # nonempty valid sets in the subtree, by size
+        self.members, self.children, self.counts = members, children, counts
+        open_heights: list[float] = []  # of the open classes, strictly increasing
+        open_ids: list[int] = []
+        for i, x in enumerate((*heights, -1.0)):  # the sentinel closes them all
+            last = -1  # the lowest class closed by x
+            while open_heights and open_heights[-1] > x:
+                open_heights.pop()
+                c = open_ids.pop()
+                if last >= 0:
+                    children[c].append(last)
+                g1, g2 = self._prefix_counts(c)[-1]
+                g1 += [0] * (len(g2) - len(g1))
+                for k in range(2, len(g2)):
+                    g1[k] += g2[k]
+                counts[c] = g1
+                last = c
+            if i == len(heights):
+                break
+            if open_heights and open_heights[-1] == x:
+                c = open_ids[-1]
+            else:
+                c = len(members)
+                members.append([])
+                children.append([])
+                counts.append([])
+                open_heights.append(x)
+                open_ids.append(c)
+            if last >= 0:
+                children[c].append(last)
+            if in_support[i]:
+                members[c].append(i)
+        self.root = last
+        self.total = _coeff(counts[last], size)
+
+    def _prefix_counts(self, c: int, every: bool = False) -> list[tuple[list[int], list[int]]]:
+        """[(G1, G2)] of class c after its last child; with `every`, also
+        before each child.  A count list may stop short of degree `size`."""
+        w = len(self.members[c])
+        g1, g2 = [0, w], [0, 0, w * (w - 1) // 2]
+        states = []
+        top = self.size + 1
+        for child in self.children[c]:
+            f = self.counts[child]
+            if every:
+                states.append((g1.copy(), g2.copy()))
+            reach = min(top, len(g1) + len(f) - 1)
+            g2 += [0] * (reach - len(g2))
+            for i in range(1, len(g1)):
+                a = g1[i]
+                if a:
+                    for j in range(1, min(len(f), reach - i)):
+                        g2[i + j] += a * f[j]
+            g1 += [0] * (len(f) - len(g1))
+            for j in range(1, len(f)):
+                g1[j] += f[j]
+        states.append((g1, g2))
+        return states
+
+    def draw(self, rng: Rng) -> list[int]:
+        """A uniform valid set, as sorted grid indices."""
+        chosen: list[int] = []
+        work = [(self.root, self.size, _randbelow(rng, self.total))]
+        while work:
+            c, k, r = work.pop()
+            states = self._prefix_counts(c, every=True)
+            dirs = 1  # the rank's block: sets of size k using one direction, then two
+            if r >= _coeff(states[-1][0], k):
+                r -= _coeff(states[-1][0], k)
+                dirs = 2
+            for t in range(len(states) - 1, 0, -1):
+                if dirs == 0:
+                    break
+                before = _coeff(states[t - 1][dirs - 1], k)
+                if r < before:
+                    continue  # child t stays empty
+                r -= before
+                child = self.children[c][t - 1]
+                f = self.counts[child]
+                for a in range(1, min(k, len(f) - 1) + 1):
+                    # the other dirs - 1 directions hold k - a points before child t
+                    rest = _coeff(states[t - 1][0], k - a) if dirs == 2 else int(a == k)
+                    if r < rest * f[a]:
+                        r, sub = divmod(r, f[a])
+                        work.append((child, a, sub))
+                        k -= a
+                        dirs -= 1
+                        break
+                    r -= rest * f[a]
+            # the k = dirs points left sit on c itself: the r-th of its w
+            # indices, or the r-th of its pairs
+            members = self.members[c]
+            if dirs == 1:
+                chosen.append(members[r])
+            elif dirs == 2:
+                first = 0
+                while r >= len(members) - 1 - first:
+                    r -= len(members) - 1 - first
+                    first += 1
+                chosen += (members[first], members[first + 1 + r])
+        return sorted(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -461,18 +623,65 @@ def didendritic_array_from_points(
     return DidendriticArray(labels, {key: _classify(ensemble, handles, key) for key in keys})
 
 
+def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> LabeledBinaryTree:
+    """Tree spanned by the handles (labels 1-based), from O(n log n) queries.
+
+    The points are sorted into leaf order by `left_value`.  The branch point
+    of leaves k and k+1 is then the k-th internal vertex in inorder, so one
+    stack over these adjacent-pair segments builds their Cartesian tree
+    (Vuillemin, CACM 1980): a stacked segment that strictly contains the new
+    one lies in its left subtree and is popped, and the one left on top is
+    its parent.  The stacked segments and the new one all lead to leaf k, so
+    in a tree they are pairwise comparable and distinct: an EQUAL (three
+    samples meeting at one branch point) or an INCOMPARABLE (an order that
+    is no leaf order) raises DegenerateSampleError naming a triple.  So does
+    any DegenerateSampleError of the queries.  The shape is written in
+    preorder: each leaf follows the internal vertices it is leftmost under.
+    """
+    n = len(handles)
+
+    def before(a: int, b: int) -> int:
+        return -1 if ensemble.left_value(handles[a], handles[b]) == 1 else 1
+
+    order = sorted(range(n), key=cmp_to_key(before))
+    pts = [handles[i] for i in order]
+    opened = [0] * n  # internal vertices whose leftmost leaf is leaf k
+    stack: list[tuple[int, int]] = []  # (segment, its leftmost leaf), deepest last
+    for k in range(n - 1):
+        first = k
+        while stack:
+            top, top_first = stack[-1]
+            rel = ensemble.compare(pts[top], pts[top + 1], pts[k], pts[k + 1])
+            if rel is SegmentRelation.CONTAINED:
+                break
+            if rel is not SegmentRelation.CONTAINS:
+                key = tuple(sorted(order[x] + 1 for x in (top, top + 1, k + 1)))
+                raise DegenerateSampleError(
+                    f"triple {key}: the branch points of labels "
+                    f"({order[top] + 1}, {order[top + 1] + 1}) and "
+                    f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}",
+                    labels=key,
+                )
+            stack.pop()
+            first = top_first
+        stack.append((k, first))
+        opened[first] += 1
+    shape = b"".join(b"\x01" * count + b"\x00" for count in opened)
+    return LabeledBinaryTree(BinaryTree(shape), tuple(i + 1 for i in order))
+
+
 def _sample_classified(
-    ensemble: Ensemble, m: int, rng: Rng, retry_cap: int
-) -> tuple[list[PointHandle], dict[tuple[int, ...], TripleType | bool]]:
-    """m+1 samples with no degenerate triple (pair when m = 1), and their types.
+    ensemble: Ensemble, handles: list[PointHandle], rng: Rng, retry_cap: int
+) -> dict[tuple[int, ...], TripleType | bool]:
+    """Redraw handles in place until no triple (pair when there are two) is
+    degenerate, and return the types.
 
     Every triple is classified once.  While some are degenerate, a member of
     the lexicographically smallest is redrawn, avoiding the identities in use,
     and only the triples holding it are classified again.
     """
-    handles = sample_points(ensemble, m + 1, rng, retry_cap)
-    labels = range(1, m + 2)
-    width = min(3, m + 1)
+    labels = range(1, len(handles) + 1)
+    width = min(3, len(handles))
     types: dict[tuple[int, ...], TripleType | bool] = {}
     degenerate: dict[tuple[int, ...], DegenerateSampleError] = {}
 
@@ -505,7 +714,14 @@ def _sample_classified(
         others = [x for x in labels if x != victim]
         rests = itertools.combinations(others, width - 1)
         classify(tuple(sorted((victim, *rest))) for rest in rests)
-    return handles, types
+    return types
+
+
+# Whole fresh draws an ExcursionEnsemble tries before it draws from the
+# conditioned law's DP.  Each is kept exactly when it is valid, so the law is
+# unchanged; callers that draw once per fresh grid (where most first draws
+# are valid) then rarely pay for building the DP.
+_FRESH_DRAWS = 4
 
 
 def sample_didendritic(
@@ -513,18 +729,36 @@ def sample_didendritic(
 ) -> LabeledBinaryTree:
     """Tree spanned by m+1 independent samples, labels in sampling order.
 
-    Degenerate draws (tied branch points, identity collisions, capped
-    streams) have the offending point redrawn.  `retry_cap` bounds the
-    redraws charged to any one label, and the identity collisions of each
-    point drawn; past it, RetryLimitError names the label, its redraw count,
-    the total and the last degenerate triple.
+    The m+1 points are drawn with distinct identities (`retry_cap` bounds
+    the collisions of each point).  When no triple of them is degenerate
+    (tied branch points, capped streams) their tree is returned.  Otherwise:
+
+    - an ExcursionEnsemble samples the exact law: i.i.d. support indices
+      conditioned on being distinct with no degenerate triple.  It draws
+      afresh up to _FRESH_DRAWS times in all, keeping the first valid draw,
+      and then draws from the DP of _ConditionedLaw; either way the output
+      has that law.  When no valid set exists, RetryLimitError says so.
+    - the other ensembles redraw the offending points, from the same draw
+      on.  `retry_cap` bounds the redraws charged to any one label; past
+      it, RetryLimitError names the label, its redraw count, the total and
+      the last degenerate triple.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    _, types = _sample_classified(ensemble, m, rng, retry_cap)
-    if m == 1:
-        return LabeledBinaryTree(ALEPH, (1, 2) if types[(1, 2)] else (2, 1))
-    return didendritic.decode(DidendriticArray(range(1, m + 2), types))
+    exact = isinstance(ensemble, ExcursionEnsemble)
+    for _ in range(_FRESH_DRAWS if exact else 1):
+        try:
+            handles = sample_points(ensemble, m + 1, rng, retry_cap)
+            return _leaf_order_tree(ensemble, handles)
+        except RetryLimitError:
+            if not exact:
+                raise
+        except DegenerateSampleError:
+            pass
+    if exact:
+        return _leaf_order_tree(ensemble, ensemble._conditioned_draw(m, rng))
+    _sample_classified(ensemble, handles, rng, retry_cap)
+    return _leaf_order_tree(ensemble, handles)
 
 
 def check_ensemble_axioms(
@@ -537,13 +771,13 @@ def check_ensemble_axioms(
 
     Each accepted draw must show two equal branch segments strictly inside
     the third, antisymmetric pair orientations, and the same orientation of
-    the outer point against both cherry members.  Ties are redrawn as in
-    sample_didendritic.
+    the outer point against both cherry members.  Ties are redrawn point by
+    point, as sample_didendritic does for the interval and dyadic ensembles.
     """
     violations: list[str] = []
     for rep in range(n_triples):
-        handles, types = _sample_classified(ensemble, 2, rng, retry_cap)
-        tt = types[(1, 2, 3)]
+        handles = sample_points(ensemble, 3, rng, retry_cap)
+        tt = _sample_classified(ensemble, handles, rng, retry_cap)[(1, 2, 3)]
         for a, b in itertools.permutations(range(3), 2):
             va = ensemble.left_value(handles[a], handles[b])
             vb = ensemble.left_value(handles[b], handles[a])
@@ -604,7 +838,20 @@ def estimate_distance(source, i: int, j: int) -> float:
 
 
 def distance_matrix(source) -> np.ndarray:
-    """Symmetric matrix of estimate_distance over all label pairs."""
+    """Symmetric matrix of estimate_distance over all label pairs.
+
+    On a SampleView, p lies below the branch point of i and j exactly when
+    it is a leaf under mrca(i, j) in the tree the handles span, so each
+    internal vertex of that tree fills the block of pairs it joins with
+    (leaves under it - 2) / (n - 2), in O(n^2).  Degenerate handle sets,
+    which span no such tree, and DidendriticArray sources ask `below` for
+    every pair and third label.
+    """
+    if isinstance(source, SampleView):
+        try:
+            return _tree_distances(_leaf_order_tree(source.ensemble, source.handles))
+        except DegenerateSampleError:
+            pass
     labels = list(source.labels)
     n = len(labels)
     out = np.zeros((n, n))
@@ -613,6 +860,24 @@ def distance_matrix(source) -> np.ndarray:
             d = estimate_distance(source, labels[a], labels[b])
             out[a, b] = out[b, a] = d
     return out
+
+
+def _tree_distances(lt: LabeledBinaryTree) -> np.ndarray:
+    """(leaves under mrca(i, j) - 2) / (n - 2) for all label pairs of lt."""
+    shape = lt.tree.shape
+    n = lt.n_leaves
+    ends = _subtree_ends(shape)
+    by_leaf = np.zeros((n, n))
+    lo = 0  # leaves left of vertex i in preorder
+    for i, internal in enumerate(shape):
+        if not internal:
+            lo += 1
+            continue
+        mid = lo + (ends[i + 1] - i) // 2
+        hi = lo + (ends[i] - i + 1) // 2
+        by_leaf[lo:mid, mid:hi] = by_leaf[mid:hi, lo:mid] = (hi - lo - 2) / (n - 2)
+    leaf_of = np.argsort(lt.leaf_labels)  # label - 1 -> leaf position
+    return by_leaf[np.ix_(leaf_of, leaf_of)]
 
 
 def attachment_distance(d_matrix: np.ndarray, i: int) -> float:

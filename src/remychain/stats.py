@@ -29,8 +29,19 @@ class StatReport:
         )
 
 
+def _check_nonnegative(law: Mapping, what: str) -> None:
+    for key, prob in law.items():
+        if Fraction(prob) < 0:
+            raise ValueError(f"{what} probability of {key!r} is negative: {prob}")
+
+
 def tv_distance(p: Mapping, q: Mapping) -> float:
-    """Total variation distance between two laws on a shared countable space."""
+    """Total variation distance between two laws on a shared countable space.
+
+    Raises ValueError, naming the cell, on a negative probability.
+    """
+    _check_nonnegative(p, "first law's")
+    _check_nonnegative(q, "second law's")
     keys = set(p) | set(q)
     total = Fraction(0)
     for k in keys:
@@ -56,12 +67,13 @@ def chi_square(
     """Pearson goodness-of-fit with low-expectation cells pooled.
 
     `observed` maps outcomes to counts; `expected` maps the same outcomes to
-    probabilities summing to one.  Outcomes are sorted by ascending expected
-    probability and merged greedily until every pooled cell expects at least
-    five counts; the statistic is compared against the upper `significance`
-    quantile of the chi-square law with (cells - 1) degrees of freedom.
-    Observed outcomes missing from `expected` are rejected, since any mass
-    outside the support already falsifies the law.  The quantile inverts the
+    nonnegative probabilities summing to one.  Outcomes are sorted by
+    ascending expected probability and merged greedily until every pooled
+    cell expects at least five counts; the statistic is compared against the
+    upper `significance` quantile of the chi-square law with (cells - 1)
+    degrees of freedom.  Observed outcomes missing from `expected` are
+    rejected, since any mass outside the support already falsifies the law,
+    and so is a negative expected probability.  The quantile inverts the
     closed-form chi-square tail for integer dof by bisection, in the standard
     library alone.
     """
@@ -70,6 +82,7 @@ def chi_square(
     extra = [k for k in observed if k not in expected]
     if extra:
         raise ValueError(f"observed outcomes outside the expected support: {extra[:5]}")
+    _check_nonnegative(expected, "expected")
     total_prob = sum(Fraction(v) for v in expected.values())
     if abs(total_prob - 1) > Fraction(1, 10**12):
         raise ValueError(f"expected probabilities sum to {float(total_prob)}, not 1")

@@ -123,19 +123,20 @@ GOLDEN_TARGET = "(((()())())((()())(()(()()))))"
         (["dyck", "--n", "20"], "fa35dcf45c5b7d3b"),
         (["ensemble-sample", "--kind", "interval", "--m", "8"], "3c33b63ba1d4bb06"),
         (["ensemble-sample", "--kind", "dyadic", "--m", "8"], "495475428b5e4c9c"),
+        # Each excursion row has a degenerate first draw in some replica,
+        # which is now replaced by a draw from the exact conditioned law
+        # rather than redrawn point by point.
         (
             ["ensemble-sample", "--kind", "excursion", "--dyck-n", "200", "--m", "6"],
-            "f07933433b87d3f3",
+            "298601a62c392740",
         ),
         (
             ["ensemble-sample", "--kind", "excursion", "--dyck-n", "300", "--m", "20"],
-            "7ba278263a555a33",
+            "9878a2e37f479380",
         ),
-        # Exited 2 when all labels shared one redraw budget; each label now
-        # has its own, and the draws are those of an uncapped run.
         (
             ["ensemble-sample", "--kind", "excursion", "--dyck-n", "100", "--m", "12"],
-            "af75408409f83425",
+            "ecab6c951ff40c26",
         ),
     ],
 )
@@ -201,7 +202,7 @@ def test_pinned_growth_rows_do_not_depend_on_the_hash_seed(hash_seed):
         (["bridge", "--target", GOLDEN_TARGET], "9d2cc149da9d2482"),
         (
             ["ensemble-sample", "--kind", "excursion", "--dyck-n", "300", "--m", "20"],
-            "7ba278263a555a33",
+            "9878a2e37f479380",
         ),
     ]
     code = (
@@ -484,6 +485,20 @@ def test_stats_tv_mode(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert records(out)[0]["outputs"]["tv"] == 0.25
+
+
+@pytest.mark.parametrize("mode", ["chi2", "tv"])
+def test_stats_rejects_negative_probability(capsys, tmp_path, mode):
+    # The cells sum to 1, so only the sign check can catch the bad law.
+    obs = tmp_path / "obs.json"
+    exp = tmp_path / "exp.json"
+    obs.write_text(json.dumps({"a": 100, "b": 100, "c": 0}))
+    exp.write_text(json.dumps({"a": "-1/10", "b": "1/2", "c": "3/5"}))
+    argv = ["stats", "--mode", mode, "--observed", str(obs), "--expected", str(exp)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'a'" in err and "negative" in err
 
 
 def test_stats_missing_file_is_usage_error(capsys, tmp_path):

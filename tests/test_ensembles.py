@@ -47,6 +47,9 @@ from remychain import (
     ultrametric_tree,
 )
 from remychain import decode as decode_array
+from remychain import ensembles as ensembles_module
+from remychain.ensembles import _ConditionedLaw, _leaf_order_tree
+from remychain.rng import split_rng
 from conftest import all_trees_up_to, is_comb, three_sigma
 
 EQ = SegmentRelation.EQUAL
@@ -304,9 +307,11 @@ def test_all_zero_grid_exhausts_retries(rng):
 
 
 def test_retry_limit_names_label_counts_and_triple(rng):
+    # check_ensemble_axioms redraws point by point; sample_didendritic on this
+    # grid fails at once (test_all_zero_grid_exhausts_retries).
     e = ExcursionEnsemble(ExcursionGrid((0.0, 0.0, 0.0, 0.0, 0.0)))
     with pytest.raises(RetryLimitError) as info:
-        sample_didendritic(e, 2, rng)
+        check_ensemble_axioms(e, 1, rng)
     msg = str(info.value)
     # The redrawn member rotates 3, 2, 1 through the one triple, so label 3
     # is the first to pass the cap.
@@ -359,6 +364,150 @@ def test_same_seed_reproduces_samples():
             rng = make_rng(77)
             runs.append([sample_didendritic(e, 2, rng) for _ in range(50)])
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# The leaf-order builder and the exact excursion law
+
+
+def small_excursions(seed: int) -> list[ExcursionEnsemble]:
+    """Grids of at most 11 heights: Dyck and general, full and partial support."""
+    rng = make_rng(seed)
+    n = int(rng.integers(1, 6))
+    dyck = random_dyck_path(n, rng)
+    heights = [0.0, *(float(x) for x in rng.integers(0, 4, size=2 * n - 1)), 0.0]
+    general = ExcursionGrid(tuple(heights))
+    out = []
+    for grid in (dyck, general):
+        size = len(grid.heights)
+        out.append(ExcursionEnsemble(grid))
+        if size > 3:
+            part = sorted(int(i) for i in rng.choice(size, size=size - 2, replace=False))
+            out.append(ExcursionEnsemble(grid, support=part))
+    return out
+
+
+def test_builder_matches_decoded_table_and_flags_exactly_the_degenerate_draws():
+    agreed = flagged = 0
+    for seed in range(60):
+        ensembles = [IntervalEnsemble(), DyadicEnsemble(), DyadicEnsemble(bit_cap=3)]
+        ensembles += small_excursions(seed)
+        rng = make_rng(1000 + seed)
+        for e in ensembles:
+            for m in range(1, 13):
+                try:
+                    handles = sample_points(e, m + 1, rng, retry_cap=10)
+                except RetryLimitError:
+                    continue  # fewer support indices than points
+                try:
+                    if m == 1:
+                        left = e.left_value(handles[0], handles[1]) == 1
+                        expected = (1, 2) if left else (2, 1)
+                    else:
+                        expected = decode_array(didendritic_array_from_points(e, handles))
+                except DegenerateSampleError:
+                    with pytest.raises(DegenerateSampleError):
+                        _leaf_order_tree(e, handles)
+                    flagged += 1
+                    continue
+                got = _leaf_order_tree(e, handles)
+                if m == 1:
+                    assert got.leaf_labels == expected
+                else:
+                    assert got == expected
+                agreed += 1
+    assert agreed > 1500 and flagged > 1000
+
+
+def test_nondegenerate_first_draws_keep_the_previous_output_and_stream():
+    """A first draw with no degenerate triple gives the tree its triple-type
+    table decodes to, and leaves the stream where the draw left it."""
+    grid = random_dyck_path(30, make_rng(4))
+    kept = 0
+    for e in (IntervalEnsemble(), DyadicEnsemble(), ExcursionEnsemble(grid)):
+        for seed in range(40):
+            for m in (2, 5, 9):
+                before, after = make_rng(seed), make_rng(seed)
+                handles = sample_points(e, m + 1, before)
+                try:
+                    expected = decode_array(didendritic_array_from_points(e, handles))
+                except DegenerateSampleError:
+                    continue
+                assert sample_didendritic(e, m, after) == expected
+                assert before.random() == after.random()
+                kept += 1
+    assert kept > 250
+
+
+def brute_force_valid_sets(e: ExcursionEnsemble, size: int) -> list[tuple[int, ...]]:
+    """Sets of support indices with no degenerate triple, by classifying them all."""
+    valid = []
+    for chosen in itertools.combinations(e.support, size):
+        try:
+            didendritic_array_from_points(e, [e.point_at(i) for i in chosen])
+        except DegenerateSampleError:
+            continue
+        valid.append(chosen)
+    return valid
+
+
+def test_conditioned_law_counts_and_unranks_every_valid_set(monkeypatch):
+    roadmap = ExcursionEnsemble(parse_grid("0 1 2 1 2 3 2 1 0 1 0"))
+    assert _ConditionedLaw(roadmap.grid.heights, roadmap.support, 3).total == 96
+    cases = [(roadmap, 3), (roadmap, 4)]
+    cases += [(e, size) for seed in range(40) for e in small_excursions(seed) for size in (3, 4, 5)]
+    for e, size in cases:
+        law = _ConditionedLaw(e.grid.heights, e.support, size)
+        valid = brute_force_valid_sets(e, size) if size <= len(e.support) else []
+        assert law.total == len(valid)
+        if law.total <= 200:
+            drawn = []
+            for rank in range(law.total):
+                monkeypatch.setattr(ensembles_module, "_randbelow", lambda rng, n, r=rank: r)
+                drawn.append(tuple(law.draw(None)))
+            assert sorted(drawn) == valid
+
+
+def test_impossible_excursion_sample_fails_at_once():
+    # The root class allows two occupied directions and each peak holds one
+    # index, so no valid set has more than two points.
+    e = ExcursionEnsemble(parse_grid("0 1 0 1 0 1 0"))
+    with pytest.raises(RetryLimitError, match="no sample exists"):
+        sample_didendritic(e, 4, make_rng(0))
+
+
+def test_star_plus_bush_grid_is_sampled():
+    """200 single peaks and one bush on the root: valid 4-sets hold three
+    bush indices, so nearly every first draw degenerates; redrawing one
+    point at a time never recovered here."""
+    heights = [0] + [1, 0] * 200 + [1, 2, 3, 2, 3, 2, 1, 2, 3, 2, 3, 2, 1, 0]
+    e = ExcursionEnsemble(ExcursionGrid(tuple(float(x) for x in heights)))
+    assert _ConditionedLaw(e.grid.heights, e.support, 4).total == 64_420
+    for seed in range(10):
+        lt = sample_didendritic(e, 3, make_rng(seed))
+        assert sorted(lt.leaf_labels) == [1, 2, 3, 4]
+
+
+# Steps (1 up, 0 down) of a Dyck(500) grid from the boundary benchmark, on
+# which `ensemble-sample --m 30 --seed 248915710` used to exit 2 after 4.9 s.
+BENCH_GRID_STEPS = (
+    "df91e6adea67cbcfb3df9c70b938130dceea8544ad81a41cfa91a2d58db8ac37f4ba6bb05ffc82a5"
+    "1910ed0670f872b07d7870149bb7b3eea291afcb4fe2e5325e61b54504f44c4082124c1d98ecfe"
+    "13390bf3cb703b251a248be967a755c5d28b6014be4f3d8584e3341995dbe782b946b89f13ead5"
+    "64f241178014f0"
+)
+
+
+def test_bench_grid_with_degenerate_first_draw_is_sampled():
+    bits = bin(int(BENCH_GRID_STEPS, 16))[2:].zfill(1000)
+    heights = list(itertools.accumulate((1 if b == "1" else -1 for b in bits), initial=0))
+    e = ExcursionEnsemble(ExcursionGrid(tuple(float(x) for x in heights)))
+    assert e.grid.is_dyck and len(heights) == 1001
+    first, rng = (split_rng(make_rng(248915710), 1)[0] for _ in range(2))
+    with pytest.raises(DegenerateSampleError):
+        didendritic_array_from_points(e, sample_points(e, 31, first))
+    lt = sample_didendritic(e, 30, rng)
+    assert sorted(lt.leaf_labels) == list(range(1, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +568,32 @@ def test_excursion_law_matches_exact_enumeration(rng):
         lt = sample_didendritic(e, 3, rng)
         counts[lt] = counts.get(lt, 0) + 1
     report = chi_square(counts, expected, significance=0.01, name="contour-samples")
+    assert report.passed, report.line()
+
+
+def test_excursion_law_on_a_coarse_grid_is_the_conditioned_law(rng):
+    """Three i.i.d. indices of a grid where degenerate triples are common,
+    conditioned on being distinct with no degenerate triple: 576 of the
+    1331 ordered triples qualify, each equally likely."""
+    e = ExcursionEnsemble(parse_grid("0 1 2 1 2 3 2 1 0 1 0"))
+    expected: dict = {}
+    valid = 0
+    for chosen in itertools.permutations(e.support, 3):
+        try:
+            arr = didendritic_array_from_points(e, [e.point_at(i) for i in chosen])
+        except DegenerateSampleError:
+            continue
+        lt = decode_array(arr)
+        expected[lt] = expected.get(lt, 0) + 1
+        valid += 1
+    assert valid == 576
+    expected = {lt: Fraction(c, valid) for lt, c in expected.items()}
+    reps = 20_000
+    counts: dict = {}
+    for _ in range(reps):
+        lt = sample_didendritic(e, 2, rng)
+        counts[lt] = counts.get(lt, 0) + 1
+    report = chi_square(counts, expected, significance=0.01, name="coarse-grid")
     assert report.passed, report.line()
 
 
