@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["interval", "dyadic", "excursion"], required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", default=None, help="excursion grid file")
-    p.add_argument("--dyck-n", type=int, default=None, help="random grid size")
+    p.add_argument("--dyck-n", type=_positive_int, default=None, help="random grid size")
     common(p)
     p.set_defaults(func=cmd_ensemble_sample)
 

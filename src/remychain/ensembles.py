@@ -19,14 +19,15 @@ walks, including random Dyck paths).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .didendritic import DidendriticArray, TripleType
+from .didendritic import DidendriticArray, TripleType, decode
 from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
 from .trees import BinaryTree, HarrisPath, LabeledBinaryTree, _subtree_ends
@@ -45,10 +46,6 @@ class SegmentRelation(Enum):
 
 class DegenerateSampleError(RuntimeError):
     """A draw hit a tie that valid samples avoid almost surely."""
-
-    def __init__(self, message: str, labels: tuple[int, ...] = ()) -> None:
-        super().__init__(message)
-        self.labels = labels
 
 
 class Ensemble(Protocol):
@@ -215,6 +212,8 @@ class ExcursionGrid:
             raise ValueError("need an odd number of heights, at least three")
         if h[0] != 0 or h[-1] != 0:
             raise ValueError("the walk must start and end at zero")
+        if not all(math.isfinite(x) for x in h):
+            raise ValueError("heights must be finite")
         if any(x < 0 for x in h):
             raise ValueError("negative height")
 
@@ -330,20 +329,20 @@ class ExcursionEnsemble:
                 raise ValueError("support indices must be distinct")
             if any(not 0 <= i < n for i in self.support):
                 raise ValueError("support index out of range")
-        self._law: _ConditionedLaw | None = None  # for the last m asked
+        self._law: _ConditionedLaw | None = None  # for the last count asked
 
-    def _conditioned_draw(self, m: int, rng: Rng) -> list[ExcursionPoint]:
-        """m+1 points from the law of i.i.d. support samples conditioned on
+    def _conditioned_draw(self, count: int, rng: Rng) -> list[ExcursionPoint]:
+        """`count` points from the law of i.i.d. support samples conditioned on
         distinct indices and no degenerate triple, labels in sampling order."""
-        if self._law is None or self._law.size != m + 1:
-            self._law = _ConditionedLaw(self.grid.heights, self.support, m + 1)
+        if self._law is None or self._law.size != count:
+            self._law = _ConditionedLaw(self.grid.heights, self.support, count)
         if not self._law.total:
             raise RetryLimitError(
-                f"no sample exists: no {m + 1} distinct indices of the "
+                f"no sample exists: no {count} distinct indices of the "
                 f"{len(self.support)} in the support avoid a degenerate triple"
             )
         chosen = self._law.draw(rng)
-        return [self.point_at(chosen[j]) for j in rng.permutation(m + 1)]
+        return [self.point_at(chosen[j]) for j in rng.permutation(count)]
 
     def point_at(self, index: int, aux: float = 0.5) -> ExcursionPoint:
         if not 0 <= index < len(self.grid.heights):
@@ -539,20 +538,6 @@ class _ConditionedLaw:
 # From samples to labeled trees
 
 
-def _draw_point(
-    ensemble: Ensemble, rng: Rng, taken: set[object], retry_cap: int
-) -> PointHandle:
-    """One point whose identity is not in `taken`, redrawn at most `retry_cap` times."""
-    for _ in range(retry_cap + 1):
-        p = ensemble.sample_point(rng)
-        if p.identity is None or p.identity not in taken:
-            return p
-    raise RetryLimitError(
-        f"identity collisions persist past {retry_cap} redraws of one point; "
-        "ensemble too coarse"
-    )
-
-
 def sample_points(
     ensemble: Ensemble, count: int, rng: Rng, retry_cap: int = DEFAULT_RETRY_CAP
 ) -> list[PointHandle]:
@@ -564,8 +549,17 @@ def sample_points(
     points: list[PointHandle] = []
     taken: set[object] = set()
     for _ in range(count):
-        points.append(_draw_point(ensemble, rng, taken, retry_cap))
-        taken.add(points[-1].identity)
+        for _ in range(retry_cap + 1):
+            p = ensemble.sample_point(rng)
+            if p.identity is None or p.identity not in taken:
+                break
+        else:
+            raise RetryLimitError(
+                f"identity collisions persist past {retry_cap} redraws of one point; "
+                "ensemble too coarse"
+            )
+        points.append(p)
+        taken.add(p.identity)
     return points
 
 
@@ -604,7 +598,7 @@ def _classify(
         cherry_on_left = ensemble.left_value(handles[pair[0] - 1], handles[solo - 1]) == 1
     except DegenerateSampleError as e:
         kind = "pair" if len(key) == 2 else "triple"
-        raise DegenerateSampleError(f"{kind} {key}: {e}", labels=key) from None
+        raise DegenerateSampleError(f"{kind} {key}: {e}") from None
     return TripleType((key.index(p), key.index(q)), key.index(solo), cherry_on_left)
 
 
@@ -641,7 +635,10 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
     n = len(handles)
 
     def before(a: int, b: int) -> int:
-        return -1 if ensemble.left_value(handles[a], handles[b]) == 1 else 1
+        try:
+            return -1 if ensemble.left_value(handles[a], handles[b]) == 1 else 1
+        except DegenerateSampleError as e:
+            raise DegenerateSampleError(f"pair {(min(a, b) + 1, max(a, b) + 1)}: {e}") from None
 
     order = sorted(range(n), key=cmp_to_key(before))
     pts = [handles[i] for i in order]
@@ -659,8 +656,7 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
                 raise DegenerateSampleError(
                     f"triple {key}: the branch points of labels "
                     f"({order[top] + 1}, {order[top + 1] + 1}) and "
-                    f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}",
-                    labels=key,
+                    f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}"
                 )
             stack.pop()
             first = top_first
@@ -670,58 +666,38 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
     return LabeledBinaryTree(BinaryTree(shape), tuple(i + 1 for i in order))
 
 
-def _sample_classified(
-    ensemble: Ensemble, handles: list[PointHandle], rng: Rng, retry_cap: int
-) -> dict[tuple[int, ...], TripleType | bool]:
-    """Redraw handles in place until no triple (pair when there are two) is
-    degenerate, and return the types.
-
-    Every triple is classified once.  While some are degenerate, a member of
-    the lexicographically smallest is redrawn, avoiding the identities in use,
-    and only the triples holding it are classified again.
-    """
-    labels = range(1, len(handles) + 1)
-    width = min(3, len(handles))
-    types: dict[tuple[int, ...], TripleType | bool] = {}
-    degenerate: dict[tuple[int, ...], DegenerateSampleError] = {}
-
-    def classify(keys: Iterable[tuple[int, ...]]) -> None:
-        for key in keys:
-            try:
-                types[key] = _classify(ensemble, handles, key)
-                degenerate.pop(key, None)
-            except DegenerateSampleError as e:
-                degenerate[key] = e
-
-    classify(itertools.combinations(labels, width))
-    redraws = dict.fromkeys(labels, 0)
-    total = 0
-    while degenerate:
-        key = min(degenerate)
-        # Rotate the redrawn member through the triple: a tie can sit inside
-        # any pair of it (two samples on one tree point stay degenerate however
-        # the third is redrawn).  A tied pair clears whichever member is redrawn.
-        victim = key[-1 - total % 3] if width == 3 else key[-1]
-        total += 1
-        redraws[victim] += 1
-        if redraws[victim] > retry_cap:
-            raise RetryLimitError(
-                f"degenerate draws persist past {retry_cap} redraws of label "
-                f"{victim} ({total - 1} redraws in all); last degenerate {degenerate[key]}"
-            )
-        taken = {p.identity for p in handles}
-        handles[victim - 1] = _draw_point(ensemble, rng, taken, retry_cap)
-        others = [x for x in labels if x != victim]
-        rests = itertools.combinations(others, width - 1)
-        classify(tuple(sorted((victim, *rest))) for rest in rests)
-    return types
-
-
 # Whole fresh draws an ExcursionEnsemble tries before it draws from the
 # conditioned law's DP.  Each is kept exactly when it is valid, so the law is
 # unchanged; callers that draw once per fresh grid (where most first draws
 # are valid) then rarely pay for building the DP.
 _FRESH_DRAWS = 4
+
+
+def _valid_draw(
+    ensemble: Ensemble, count: int, rng: Rng, retry_cap: int
+) -> tuple[list[PointHandle], LabeledBinaryTree]:
+    """`count` points with distinct identities and no degenerate pair or
+    triple, and the tree they span: the first valid one of repeated whole
+    draws (see sample_didendritic).  An ExcursionEnsemble switches to the DP
+    of _ConditionedLaw, which has the same law, after _FRESH_DRAWS draws.
+    """
+    exact = isinstance(ensemble, ExcursionEnsemble)
+    for _ in range(_FRESH_DRAWS if exact else retry_cap + 1):
+        try:
+            handles = sample_points(ensemble, count, rng, retry_cap)
+            return handles, _leaf_order_tree(ensemble, handles)
+        except RetryLimitError:
+            if not exact:
+                raise
+        except DegenerateSampleError as e:
+            last = e
+    if exact:
+        handles = ensemble._conditioned_draw(count, rng)
+        return handles, _leaf_order_tree(ensemble, handles)
+    raise RetryLimitError(
+        f"degenerate draws persist past {retry_cap} whole redraws of {count} "
+        f"points; last degenerate {last}"
+    )
 
 
 def sample_didendritic(
@@ -730,35 +706,16 @@ def sample_didendritic(
     """Tree spanned by m+1 independent samples, labels in sampling order.
 
     The m+1 points are drawn with distinct identities (`retry_cap` bounds
-    the collisions of each point).  When no triple of them is degenerate
-    (tied branch points, capped streams) their tree is returned.  Otherwise:
-
-    - an ExcursionEnsemble samples the exact law: i.i.d. support indices
-      conditioned on being distinct with no degenerate triple.  It draws
-      afresh up to _FRESH_DRAWS times in all, keeping the first valid draw,
-      and then draws from the DP of _ConditionedLaw; either way the output
-      has that law.  When no valid set exists, RetryLimitError says so.
-    - the other ensembles redraw the offending points, from the same draw
-      on.  `retry_cap` bounds the redraws charged to any one label; past
-      it, RetryLimitError names the label, its redraw count, the total and
-      the last degenerate triple.
+    the collisions of each point) and with no degenerate triple (tied branch
+    points, capped streams): a degenerate draw is redrawn whole, so the tree
+    has the law of i.i.d. samples conditioned on validity.  An
+    ExcursionEnsemble samples that law exactly and raises RetryLimitError
+    only when no valid set exists; the other ensembles raise it after
+    `retry_cap` whole redraws, naming the last degenerate pair or triple.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    exact = isinstance(ensemble, ExcursionEnsemble)
-    for _ in range(_FRESH_DRAWS if exact else 1):
-        try:
-            handles = sample_points(ensemble, m + 1, rng, retry_cap)
-            return _leaf_order_tree(ensemble, handles)
-        except RetryLimitError:
-            if not exact:
-                raise
-        except DegenerateSampleError:
-            pass
-    if exact:
-        return _leaf_order_tree(ensemble, ensemble._conditioned_draw(m, rng))
-    _sample_classified(ensemble, handles, rng, retry_cap)
-    return _leaf_order_tree(ensemble, handles)
+    return _valid_draw(ensemble, m + 1, rng, retry_cap)[1]
 
 
 def check_ensemble_axioms(
@@ -771,13 +728,13 @@ def check_ensemble_axioms(
 
     Each accepted draw must show two equal branch segments strictly inside
     the third, antisymmetric pair orientations, and the same orientation of
-    the outer point against both cherry members.  Ties are redrawn point by
-    point, as sample_didendritic does for the interval and dyadic ensembles.
+    the outer point against both cherry members.  Degenerate triples are
+    redrawn whole, as sample_didendritic does.
     """
     violations: list[str] = []
     for rep in range(n_triples):
-        handles = sample_points(ensemble, 3, rng, retry_cap)
-        tt = _sample_classified(ensemble, handles, rng, retry_cap)[(1, 2, 3)]
+        handles, _ = _valid_draw(ensemble, 3, rng, retry_cap)
+        tt = _classify(ensemble, handles, (1, 2, 3))
         for a, b in itertools.permutations(range(3), 2):
             va = ensemble.left_value(handles[a], handles[b])
             vb = ensemble.left_value(handles[b], handles[a])
@@ -838,32 +795,19 @@ def estimate_distance(source, i: int, j: int) -> float:
 
 
 def distance_matrix(source) -> np.ndarray:
-    """Symmetric matrix of estimate_distance over all label pairs.
+    """Symmetric matrix of estimate_distance over all label pairs, in O(n^2).
 
-    On a SampleView, p lies below the branch point of i and j exactly when
-    it is a leaf under mrca(i, j) in the tree the handles span, so each
-    internal vertex of that tree fills the block of pairs it joins with
-    (leaves under it - 2) / (n - 2), in O(n^2).  Degenerate handle sets,
-    which span no such tree, and DidendriticArray sources ask `below` for
-    every pair and third label.
+    p lies below the branch point of i and j exactly when it is a leaf under
+    mrca(i, j) in the tree of the source (decoded from a DidendriticArray,
+    spanned by a SampleView's handles), so each internal vertex fills the
+    block of pairs it joins with (leaves under it - 2) / (n - 2).  Handles
+    with a degenerate triple span no tree and raise DegenerateSampleError;
+    estimate_distance still answers them pair by pair.
     """
-    if isinstance(source, SampleView):
-        try:
-            return _tree_distances(_leaf_order_tree(source.ensemble, source.handles))
-        except DegenerateSampleError:
-            pass
-    labels = list(source.labels)
-    n = len(labels)
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = estimate_distance(source, labels[a], labels[b])
-            out[a, b] = out[b, a] = d
-    return out
-
-
-def _tree_distances(lt: LabeledBinaryTree) -> np.ndarray:
-    """(leaves under mrca(i, j) - 2) / (n - 2) for all label pairs of lt."""
+    if isinstance(source, DidendriticArray):
+        lt = decode(source)
+    else:
+        lt = _leaf_order_tree(source.ensemble, source.handles)
     shape = lt.tree.shape
     n = lt.n_leaves
     ends = _subtree_ends(shape)

@@ -333,6 +333,8 @@ def spine_tree(state: SpineState) -> BinaryTree:
 
 
 def spine_chain(n: int, rng: Rng) -> SpineState:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     tosses: list[int] = []
     for _ in range(n):
         _insert_toss(tosses, rng)

@@ -42,6 +42,13 @@ def test_negative_level_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_negative_spine_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "spine", "--n", "-1", "--seed", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "nonnegative" in err
+
+
 @pytest.mark.parametrize("reps", ["-1", "0"])
 def test_nonpositive_reps_is_usage_error(capsys, reps):
     code, out, err = run(capsys, "chain", "--n", "5", "--reps", reps)
@@ -361,6 +368,25 @@ def test_ensemble_sample_excursion_needs_grid(capsys):
     code, _, err = run(capsys, "ensemble-sample", "--kind", "excursion", "--m", "2")
     assert code == EXIT_USAGE
     assert "grid" in err
+
+
+def test_nonpositive_dyck_size_is_usage_error(capsys):
+    argv = ["ensemble-sample", "--kind", "excursion", "--m", "2", "--dyck-n", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize(("heights", "m"), [("0 nan 1 0 0", "2"), ("0 inf 0", "1")])
+def test_nonfinite_grid_heights_are_usage_error(capsys, tmp_path, heights, m):
+    path = tmp_path / "grid.txt"
+    path.write_text(heights + "\n")
+    argv = ["ensemble-sample", "--kind", "excursion", "--grid", str(path), "--m", m]
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
 
 
 def test_ensemble_sample_excursion_from_file(capsys, tmp_path):

@@ -7,6 +7,7 @@ follow the enumerable law of distinct index tuples.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -307,17 +308,16 @@ def test_all_zero_grid_exhausts_retries(rng):
 
 
 def test_retry_limit_names_label_counts_and_triple(rng):
-    # check_ensemble_axioms redraws point by point; sample_didendritic on this
-    # grid fails at once (test_all_zero_grid_exhausts_retries).
-    e = ExcursionEnsemble(ExcursionGrid((0.0, 0.0, 0.0, 0.0, 0.0)))
+    # Four streams capped at one bit always have two that tie, so every whole
+    # draw is degenerate; the tie surfaces while sorting into leaf order.
     with pytest.raises(RetryLimitError) as info:
-        check_ensemble_axioms(e, 1, rng)
+        sample_didendritic(DyadicEnsemble(bit_cap=1), 3, rng)
     msg = str(info.value)
-    # The redrawn member rotates 3, 2, 1 through the one triple, so label 3
-    # is the first to pass the cap.
-    assert "past 100 redraws of label 3" in msg
-    assert "(300 redraws in all)" in msg
-    assert "last degenerate triple (1, 2, 3)" in msg
+    assert "past 100 whole redraws of 4 points" in msg
+    pair = re.search(r"last degenerate pair \((\d), (\d)\): streams agree", msg)
+    assert pair, msg
+    i, j = int(pair[1]), int(pair[2])
+    assert 1 <= i < j <= 4
 
 
 def test_endpoint_pair_is_redrawn_not_fatal():
@@ -540,6 +540,33 @@ def test_dyadic_law_matches_complete_tree_weights(rng):
     assert report.passed, report.line()
 
 
+def test_degenerate_dyadic_draws_follow_the_conditioned_law(rng):
+    """Four streams capped at three bits tie often; whole redraws give the law
+    of the 8^4 equally likely prefix assignments conditioned on no tie: 1680
+    of them are valid, over the 120 labeled trees."""
+    e = DyadicEnsemble(bit_cap=3)
+    prefixes = list(itertools.product((0, 1), repeat=3))
+    expected: dict = {}
+    for chosen in itertools.product(prefixes, repeat=4):
+        try:
+            arr = didendritic_array_from_points(e, [dpoint(p) for p in chosen])
+        except DegenerateSampleError:
+            continue
+        lt = decode_array(arr)
+        expected[lt] = expected.get(lt, 0) + 1
+    assert sum(expected.values()) == 1680
+    assert len(expected) == 120
+    assert sorted(set(expected.values())) == [8, 38]
+    expected = {lt: Fraction(c, 1680) for lt, c in expected.items()}
+    reps = 10_000
+    counts: dict = {}
+    for _ in range(reps):
+        lt = sample_didendritic(e, 3, rng)
+        counts[lt] = counts.get(lt, 0) + 1
+    report = chi_square(counts, expected, significance=0.01, name="capped-streams")
+    assert report.passed, report.line()
+
+
 def exact_contour_law(tree, m: int) -> dict:
     """Law of the labeled subtree of m+1 uniform distinct leaf visits."""
     grid = ExcursionGrid.from_harris(harris_path(tree))
@@ -725,6 +752,31 @@ def test_distance_matrix_is_symmetric_zero_diagonal(rng):
     assert d.shape == (8, 8)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
+
+
+def test_distance_matrix_matches_pairwise_estimates(rng):
+    grid = random_dyck_path(40, rng)
+    for e in (IntervalEnsemble(), DyadicEnsemble(), ExcursionEnsemble(grid)):
+        for n in (3, 4, 9):
+            while True:
+                pts = sample_points(e, n, rng)
+                try:
+                    arr = didendritic_array_from_points(e, pts)
+                    break
+                except DegenerateSampleError:
+                    continue
+            view = SampleView(e, pts)
+            d = distance_matrix(view)
+            for i, j in itertools.permutations(view.labels, 2):
+                assert d[i - 1, j - 1] == estimate_distance(view, i, j)
+            assert np.array_equal(d, distance_matrix(arr))
+
+
+def test_distance_matrix_rejects_tied_handles():
+    e = IntervalEnsemble()
+    view = SampleView(e, [ipoint(0.2), ipoint(0.5), ipoint(0.2, aux=0.9)])
+    with pytest.raises(DegenerateSampleError):
+        distance_matrix(view)
 
 
 def test_ultrametric_recovers_every_small_tree():
