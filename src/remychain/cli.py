@@ -369,13 +369,17 @@ def cmd_ultrametric(args) -> int:
     except (ensembles.UltrametricError, ValueError) as e:
         print(f"ultrametric reconstruction failed: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    rec = ExperimentRecord(
-        "ultrametric",
-        {"in": args.infile, "tol": args.tol},
-        None,
-        {"hierarchy": _hierarchy_json(tree)},
-    )
-    _emit(rec, args.pretty)
+    try:
+        rec = ExperimentRecord(
+            "ultrametric",
+            {"in": args.infile, "tol": args.tol},
+            None,
+            {"hierarchy": _hierarchy_json(tree)},
+        )
+        _emit(rec, args.pretty)
+    except RecursionError:
+        print("ultrametric hierarchy nests too deep to write out", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -389,10 +393,21 @@ def _load_law(path: str) -> dict[str, Any]:
     return data
 
 
+def _load_probs(path: str) -> dict[str, Fraction]:
+    """_load_law with every value read as an exact probability."""
+    probs = {}
+    for k, v in _load_law(path).items():
+        try:
+            probs[k] = Fraction(str(v))
+        except (ValueError, ZeroDivisionError) as e:
+            raise CliError(f"{path}: bad probability {v!r} for {k!r}") from e
+    return probs
+
+
 def cmd_stats(args) -> int:
     if args.mode == "chi2":
         observed = _load_law(args.observed)
-        expected = {k: Fraction(str(v)) for k, v in _load_law(args.expected).items()}
+        expected = _load_probs(args.expected)
         try:
             report = stats.chi_square(observed, expected, args.significance)
         except ValueError as e:
@@ -417,8 +432,8 @@ def cmd_stats(args) -> int:
         _emit(rec, args.pretty)
         return EXIT_OK if report.passed else EXIT_STAT
     if args.mode == "tv":
-        p = {k: Fraction(str(v)) for k, v in _load_law(args.observed).items()}
-        q = {k: Fraction(str(v)) for k, v in _load_law(args.expected).items()}
+        p = _load_probs(args.observed)
+        q = _load_probs(args.expected)
         rec = ExperimentRecord(
             "stats",
             {"mode": "tv", "observed": args.observed, "expected": args.expected},
@@ -446,6 +461,13 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
     return value
 
 
@@ -533,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ultrametric", help="merge tree of a TSV distance matrix")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=ensembles.ULTRAMETRIC_TOL)
+    p.add_argument("--tol", type=_tolerance, default=ensembles.ULTRAMETRIC_TOL)
     common(p, seeded=False, reps=False)
     p.set_defaults(func=cmd_ultrametric)
 

@@ -22,6 +22,7 @@ from .trees import (
     LabeledBinaryTree,
     Order,
     _common_prefix_len,
+    leaf_order_shape,
     mrca,
     order_query,
 )
@@ -246,11 +247,12 @@ def _pair_orientation(arr: DidendriticArray, a: int, b: int) -> bool:
 def decode(arr: DidendriticArray) -> LabeledBinaryTree:
     """Rebuild the labeled tree whose triple types are `arr`.
 
-    Sorts the labels into leaf order, then splits each run of leaves at its
-    root: inside a run, the first leaf whose cherry with the run's two ends
-    takes the right end starts the right side.  The tree so built is
-    encoded and compared with `arr`, so a DidendriticError, naming the first
-    disagreeing triple, is raised exactly when no tree has this table.
+    Sorts the labels into leaf order and builds the tree with
+    leaf_order_shape, where the branch point of leaves j, j+1 is the deeper
+    exactly when j is not the outer leaf of the triple (j, k, k+1).  The
+    tree so built is encoded and compared with `arr`, so a DidendriticError,
+    naming the first disagreeing triple, is raised exactly when no tree has
+    this table.
     """
     labs = arr.labels
     if labs != tuple(range(1, len(labs) + 1)):
@@ -258,21 +260,11 @@ def decode(arr: DidendriticArray) -> LabeledBinaryTree:
     order = sorted(
         labs, key=cmp_to_key(lambda a, b: -1 if _pair_orientation(arr, a, b) else 1)
     )
-    shape = bytearray()
-    stack = [(0, len(order))]  # runs order[lo:hi] still to build, left popped first
-    while stack:
-        lo, hi = stack.pop()
-        shape.append(hi - lo > 1)
-        if hi - lo == 1:
-            continue
-        a, b = order[lo], order[hi - 1]
-        # a as the outer leaf puts order[m] in a cherry with b
-        mid = next(
-            (m for m in range(lo + 1, hi - 1) if arr.absolute(a, b, order[m])[2] == a),
-            hi - 1,
-        )
-        stack += ((mid, hi), (lo, mid))
-    lt = LabeledBinaryTree(BinaryTree(bytes(shape)), tuple(order))
+    shape = leaf_order_shape(
+        len(order),
+        lambda j, k: arr.absolute(order[j], order[k], order[k + 1])[2] != order[j],
+    )
+    lt = LabeledBinaryTree(BinaryTree(shape), tuple(order))
     got = encode(lt)
     if got != arr:
         wrong = [

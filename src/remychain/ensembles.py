@@ -30,7 +30,7 @@ import numpy as np
 from .didendritic import DidendriticArray, TripleType, decode
 from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
-from .trees import BinaryTree, HarrisPath, LabeledBinaryTree, _subtree_ends
+from .trees import BinaryTree, HarrisPath, LabeledBinaryTree, _subtree_ends, leaf_order_shape
 
 ULTRAMETRIC_TOL = 1e-9
 
@@ -620,17 +620,13 @@ def didendritic_array_from_points(
 def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> LabeledBinaryTree:
     """Tree spanned by the handles (labels 1-based), from O(n log n) queries.
 
-    The points are sorted into leaf order by `left_value`.  The branch point
-    of leaves k and k+1 is then the k-th internal vertex in inorder, so one
-    stack over these adjacent-pair segments builds their Cartesian tree
-    (Vuillemin, CACM 1980): a stacked segment that strictly contains the new
-    one lies in its left subtree and is popped, and the one left on top is
-    its parent.  The stacked segments and the new one all lead to leaf k, so
-    in a tree they are pairwise comparable and distinct: an EQUAL (three
-    samples meeting at one branch point) or an INCOMPARABLE (an order that
-    is no leaf order) raises DegenerateSampleError naming a triple.  So does
-    any DegenerateSampleError of the queries.  The shape is written in
-    preorder: each leaf follows the internal vertices it is leftmost under.
+    The points are sorted into leaf order by `left_value`, and
+    leaf_order_shape compares the branch points of neighbouring samples.
+    The two it compares, of leaves j, j+1 and k, k+1, both lie on the path
+    to leaf k, so in a tree they are comparable and distinct: an EQUAL
+    (three samples meeting at one branch point) or an INCOMPARABLE (an
+    order that is no leaf order) raises DegenerateSampleError naming a
+    triple.  So does any DegenerateSampleError of the queries.
     """
     n = len(handles)
 
@@ -642,28 +638,22 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
 
     order = sorted(range(n), key=cmp_to_key(before))
     pts = [handles[i] for i in order]
-    opened = [0] * n  # internal vertices whose leftmost leaf is leaf k
-    stack: list[tuple[int, int]] = []  # (segment, its leftmost leaf), deepest last
-    for k in range(n - 1):
-        first = k
-        while stack:
-            top, top_first = stack[-1]
-            rel = ensemble.compare(pts[top], pts[top + 1], pts[k], pts[k + 1])
-            if rel is SegmentRelation.CONTAINED:
-                break
-            if rel is not SegmentRelation.CONTAINS:
-                key = tuple(sorted(order[x] + 1 for x in (top, top + 1, k + 1)))
-                raise DegenerateSampleError(
-                    f"triple {key}: the branch points of labels "
-                    f"({order[top] + 1}, {order[top + 1] + 1}) and "
-                    f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}"
-                )
-            stack.pop()
-            first = top_first
-        stack.append((k, first))
-        opened[first] += 1
-    shape = b"".join(b"\x01" * count + b"\x00" for count in opened)
-    return LabeledBinaryTree(BinaryTree(shape), tuple(i + 1 for i in order))
+    # bound once: deeper runs up to 2n times per draw
+    compare = ensemble.compare
+    contains, contained = SegmentRelation.CONTAINS, SegmentRelation.CONTAINED
+
+    def deeper(j: int, k: int) -> bool:
+        rel = compare(pts[j], pts[j + 1], pts[k], pts[k + 1])
+        if rel is contains or rel is contained:
+            return rel is contains
+        key = tuple(sorted(order[x] + 1 for x in (j, j + 1, k + 1)))
+        raise DegenerateSampleError(
+            f"triple {key}: the branch points of labels "
+            f"({order[j] + 1}, {order[j + 1] + 1}) and "
+            f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}"
+        )
+
+    return LabeledBinaryTree(BinaryTree(leaf_order_shape(n, deeper)), tuple(i + 1 for i in order))
 
 
 # Whole fresh draws an ExcursionEnsemble tries before it draws from the
@@ -846,11 +836,14 @@ class Hierarchy:
         return not self.children
 
     def leaf_labels(self) -> list[int]:
-        if self.is_leaf:
-            return [self.label]
+        """Labels of the leaves below, left to right."""
         out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaf_labels())
+        stack = [self]  # subtrees still to visit, next last
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                out.append(node.label)
+            stack.extend(reversed(node.children))
         return out
 
     def canonical(self):
@@ -870,10 +863,14 @@ def ultrametric_tree(
     """Single-linkage merge tree of an ultrametric distance matrix.
 
     Validates symmetry, a zero diagonal, nonnegativity, and the strong
-    triangle inequality up to `tol`, naming a violating triple otherwise.
-    Clusters merging at one common height become one node, so exact inputs
-    reproduce the unordered shape of the tree they came from.
+    triangle inequality up to `tol` (finite and nonnegative), naming a
+    violating triple otherwise.  The pairs are sorted once by distance
+    (Gower and Ross, 1969); clusters joined by the pairs of one common
+    height become one node, children ordered by their smallest label, so
+    exact inputs reproduce the unordered shape of the tree they came from.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     d = np.asarray(d_matrix, dtype=float)
     n = d.shape[0]
     if d.ndim != 2 or d.shape != (n, n) or n < 2:
@@ -902,43 +899,20 @@ def ultrametric_tree(
             x = parent[x]
         return x
 
-    nodes: dict[int, Hierarchy] = {
-        i: Hierarchy(height=0.0, children=(), label=i + 1) for i in range(n)
-    }
-    values = sorted(set(float(d[i, j]) for i in range(n) for j in range(i + 1, n)))
-    for h in values:
-        adj: dict[int, set[int]] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i, j] == h:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        adj.setdefault(ri, set()).add(rj)
-                        adj.setdefault(rj, set()).add(ri)
-        seen: set[int] = set()
-        for start in list(adj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            kids = tuple(
-                sorted(
-                    (nodes.pop(r) for r in comp),
-                    key=lambda node: min(node.leaf_labels()),
-                )
-            )
-            members = list(comp)
-            for r in members[1:]:
-                parent[find(r)] = find(members[0])
-            nodes[find(members[0])] = Hierarchy(height=h, children=kids)
-    roots = list(nodes.values())
-    if len(roots) != 1:
-        raise ValueError("matrix does not connect all points")
-    return roots[0]
+    # each cluster's root -> (its smallest label, its node)
+    nodes = {i: (i + 1, Hierarchy(height=0.0, children=(), label=i + 1)) for i in range(n)}
+    rows, cols = np.triu_indices(n, 1)
+    by_height = np.argsort(d[rows, cols], kind="stable")
+    rows, cols = rows[by_height], cols[by_height]
+    pairs = zip(d[rows, cols].tolist(), rows.tolist(), cols.tolist())
+    for h, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        joins = [(find(i), find(j)) for _, i, j in group]
+        merged = {r for join in joins if join[0] != join[1] for r in join}
+        for a, b in joins:
+            parent[find(a)] = find(b)
+        kids: dict[int, list[tuple[int, Hierarchy]]] = {}
+        for r in sorted(merged, key=lambda r: nodes[r][0]):
+            kids.setdefault(find(r), []).append(nodes.pop(r))
+        for root, parts in kids.items():
+            nodes[root] = parts[0][0], Hierarchy(h, tuple(node for _, node in parts))
+    return nodes[find(0)][1]

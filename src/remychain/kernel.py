@@ -21,11 +21,11 @@ from typing import Callable, Iterable, Sequence
 from .rng import Rng
 from .trees import (
     ALEPH,
-    ROOT,
     BinaryTree,
     Vertex,
     catalan,
     enumerate_trees,
+    leaf_order_shape,
     _common_prefix_len,
     _leaf_counts,
     _subtree_ends,
@@ -90,27 +90,15 @@ def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
     return rows[0][0]
 
 
-def span_words(words: Sequence[Sequence[int]]) -> tuple[BinaryTree, list[Vertex]]:
+def span_words(words: Sequence[Sequence[int]]) -> BinaryTree:
     """Plane tree spanned by nonempty, distinct, prefix-free bit words.
 
-    Each group of words is split on the first bit where its members differ.
-    Returns the tree and, for each word in order, the leaf it becomes.
+    Sorted, the words are the leaves left to right, and the branch point of
+    two neighbours sits at the depth of their longest common prefix.
     """
-    leaf_of: list[Vertex] = [ROOT] * len(words)
-    shape = bytearray()
-    stack = [(list(range(len(words))), 0, ROOT)]  # left group popped first: preorder
-    while stack:
-        group, d, prefix = stack.pop()
-        shape.append(len(group) > 1)
-        if len(group) == 1:
-            leaf_of[group[0]] = prefix
-            continue
-        first = words[group[0]]
-        while all(words[i][d] == first[d] for i in group):
-            d += 1
-        stack.append(([i for i in group if words[i][d] == 1], d + 1, prefix + (1,)))
-        stack.append(([i for i in group if words[i][d] == 0], d + 1, prefix + (0,)))
-    return BinaryTree(bytes(shape)), leaf_of
+    ws = sorted(words)
+    depth = [_common_prefix_len(a, b) for a, b in zip(ws, ws[1:])]
+    return BinaryTree(leaf_order_shape(len(ws), lambda j, k: depth[j] > depth[k]))
 
 
 def spanned_subtree_with_map(
@@ -127,8 +115,8 @@ def spanned_subtree_with_map(
     for v in chosen:
         if v not in t.words or v + (0,) in t.words:
             raise ValueError(f"{word_str(v)} is not a leaf of t")
-    shape, leaf_of = span_words(chosen)
-    return shape, dict(zip(chosen, leaf_of))
+    shape = span_words(chosen)
+    return shape, dict(zip(chosen, shape.leaves))
 
 
 def spanned_subtree(t: BinaryTree, leaf_set: Iterable[Vertex]) -> BinaryTree:

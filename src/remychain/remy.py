@@ -387,4 +387,4 @@ def dyadic_bridge_sample(
                 f"{clash + 1} ({sum(redraws) - 1} redraws in all)"
             )
         streams[clash] = draw()
-    return span_words(streams)[0]
+    return span_words(streams)

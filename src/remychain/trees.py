@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Vertex = tuple[int, ...]
 
@@ -223,6 +223,26 @@ def mrca(t: BinaryTree, u: Vertex, v: Vertex) -> Vertex:
     """Most recent common ancestor: the longest common prefix."""
     t.index(u), t.index(v)  # both must be vertices
     return u[: _common_prefix_len(u, v)]
+
+
+def leaf_order_shape(n: int, deeper: Callable[[int, int], bool]) -> bytes:
+    """Preorder shape of the tree with n leaves, as the Cartesian tree of
+    its branch points in inorder (Vuillemin, CACM 1980).
+
+    `deeper(j, k)`, j < k, says whether the branch point of leaves j, j+1
+    lies strictly below that of k, k+1; it is asked only when every branch
+    point between leaves j+1 and k lies below j's.  Each leaf follows, in
+    preorder, the internal vertices it is leftmost under.
+    """
+    opened = [0] * n  # internal vertices whose leftmost leaf is leaf k
+    stack: list[tuple[int, int]] = []  # (branch point, its leftmost leaf), deepest last
+    for k in range(n - 1):
+        first = k
+        while stack and deeper(stack[-1][0], k):
+            first = stack.pop()[1]
+        stack.append((k, first))
+        opened[first] += 1
+    return b"".join(b"\x01" * count + b"\x00" for count in opened)
 
 
 def _common_prefix_len(u: Vertex, v: Vertex) -> int:

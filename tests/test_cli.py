@@ -453,6 +453,54 @@ def test_ultrametric_rejects_ragged_matrix(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_ultrametric_rejects_bad_tolerance(capsys, tmp_path, tol):
+    path = tmp_path / "bad.tsv"
+    path.write_text("0\t1\t5\n1\t0\t1\n5\t1\t0\n")
+    code, out, err = run(capsys, "ultrametric", "--in", str(path), "--tol", tol)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_ultrametric_too_deep_to_print_exits_invariant(tmp_path):
+    # A comb, d(i, j) = max(i, j), nests one level per point.  Under a low
+    # recursion limit the merge still succeeds; only writing it out cannot.
+    n = 300
+    path = tmp_path / "comb.tsv"
+    path.write_text(
+        "".join(
+            "\t".join(str(0 if i == j else max(i, j)) for j in range(n)) + "\n"
+            for i in range(n)
+        )
+    )
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from remychain.cli import dispatch\n"
+        "from remychain.ensembles import ultrametric_tree\n"
+        "d = np.loadtxt(sys.argv[1], delimiter='\\t')\n"
+        "sys.setrecursionlimit(150)\n"
+        "h = ultrametric_tree(d)\n"
+        "assert h.leaf_labels() == list(range(1, len(d) + 1))\n"
+        "depth = 0\n"
+        "while not h.is_leaf:\n"
+        "    h, depth = h.children[0], depth + 1\n"
+        "assert depth == len(d) - 1, depth\n"
+        "sys.exit(dispatch(['ultrametric', '--in', sys.argv[1]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(remy.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == EXIT_INVARIANT, done.stderr
+    assert done.stdout == ""
+    assert "too deep" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # Stats utilities
 
@@ -525,6 +573,23 @@ def test_stats_rejects_negative_probability(capsys, tmp_path, mode):
     assert code == EXIT_USAGE
     assert out == ""
     assert "'a'" in err and "negative" in err
+
+
+@pytest.mark.parametrize(
+    "mode, bad", [("tv", "observed"), ("tv", "expected"), ("chi2", "expected")]
+)
+def test_stats_rejects_unreadable_probability(capsys, tmp_path, mode, bad):
+    laws = {"observed": {"a": 1, "b": 1}, "expected": {"a": "1/2", "b": "1/2"}}
+    laws[bad] = {"a": "1/2", "b": "1/0"}
+    argv = ["stats", "--mode", mode]
+    for name, law in laws.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(law))
+        argv += [f"--{name}", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'b'" in err and "1/0" in err
 
 
 def test_stats_missing_file_is_usage_error(capsys, tmp_path):

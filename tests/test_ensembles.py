@@ -835,6 +835,28 @@ def test_ultrametric_tolerance_absorbs_jitter():
     assert sorted(h.leaf_labels()) == [1, 2, 3]
 
 
+def test_ultrametric_equal_distances_make_one_node():
+    h = ultrametric_tree(np.ones((4, 4)) - np.eye(4))
+    assert h.height == 1.0
+    assert [(c.height, c.label) for c in h.children] == [(0.0, i) for i in (1, 2, 3, 4)]
+
+
+def test_ultrametric_tied_pairs_stay_two_nodes():
+    d = np.array(
+        [[0, 0.6, 0.2, 0.6], [0.6, 0, 0.6, 0.2], [0.2, 0.6, 0, 0.6], [0.6, 0.2, 0.6, 0]]
+    )
+    h = ultrametric_tree(d)
+    assert h.height == 0.6
+    assert [(c.height, c.leaf_labels()) for c in h.children] == [(0.2, [1, 3]), (0.2, [2, 4])]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_ultrametric_rejects_bad_tolerance(tol):
+    d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="tolerance"):
+        ultrametric_tree(d, tol=tol)
+
+
 def test_attachment_distance_is_half_nearest():
     d = np.array([[0.0, 0.2, 0.6], [0.2, 0.0, 0.6], [0.6, 0.6, 0.0]])
     assert attachment_distance(d, 1) == 0.1

@@ -38,6 +38,7 @@ from remychain import (
     to_dot,
     validate_tree,
 )
+from remychain.trees import leaf_order_shape
 from conftest import all_trees_up_to
 
 
@@ -46,6 +47,20 @@ def test_singleton_and_aleph():
     assert len(ALEPH) == 3 and ALEPH.n_leaves == 2
     assert ALEPH.leaves == ((0,), (1,))
     assert ALEPH.internal == ((),)
+
+
+def test_leaf_order_shape_rebuilds_every_small_tree():
+    # The branch point of adjacent leaves is their mrca; deeper is longer.
+    for t in all_trees_up_to(9):
+        leaves = t.leaves
+        depth = [len(mrca(t, a, b)) for a, b in zip(leaves, leaves[1:])]
+
+        def deeper(j, k):
+            # asked only across branch points that all lie below j's
+            assert j < k and all(depth[i] > depth[j] for i in range(j + 1, k))
+            return depth[j] > depth[k]
+
+        assert leaf_order_shape(t.n_leaves, deeper) == t.shape
 
 
 def test_validate_rejects_prefix_gap():
