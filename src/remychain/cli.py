@@ -311,18 +311,19 @@ def cmd_check(args) -> int:
 
 
 def _build_ensemble(args, rng) -> ensembles.Ensemble:
+    given = (args.grid is not None) + (args.dyck_n is not None)
+    if args.kind == "excursion" and given != 1:
+        raise CliError("excursion ensemble needs one of --grid FILE or --dyck-n N")
+    if args.kind != "excursion" and given:
+        raise CliError("--grid and --dyck-n apply to --kind excursion only")
     if args.kind == "interval":
         return ensembles.IntervalEnsemble()
     if args.kind == "dyadic":
         return ensembles.DyadicEnsemble()
     if args.kind == "excursion":
-        if args.grid:
-            grid = ensembles.parse_grid(_read_text(args.grid))
-        elif args.dyck_n:
-            grid = ensembles.random_dyck_path(args.dyck_n, rng)
-        else:
-            raise CliError("excursion ensemble needs --grid FILE or --dyck-n N")
-        return ensembles.ExcursionEnsemble(grid)
+        if args.grid is not None:
+            return ensembles.ExcursionEnsemble(ensembles.parse_grid(_read_text(args.grid)))
+        return ensembles.ExcursionEnsemble(ensembles.random_dyck_path(args.dyck_n, rng))
     raise CliError(f"unknown ensemble kind {args.kind!r}")
 
 
@@ -366,7 +367,7 @@ def cmd_ultrametric(args) -> int:
         raise CliError("matrix must be square TSV")
     try:
         tree = ensembles.ultrametric_tree(np.array(rows), tol=args.tol)
-    except (ensembles.UltrametricError, ValueError) as e:
+    except ensembles.UltrametricError as e:
         print(f"ultrametric reconstruction failed: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     try:
@@ -434,11 +435,16 @@ def cmd_stats(args) -> int:
     if args.mode == "tv":
         p = _load_probs(args.observed)
         q = _load_probs(args.expected)
+        tv = stats.tv_distance(p, q)
+        for path, law in ((args.observed, p), (args.expected, q)):
+            total = sum(law.values())
+            if total != 1:
+                raise CliError(f"{path}: probabilities sum to {total}, not 1")
         rec = ExperimentRecord(
             "stats",
             {"mode": "tv", "observed": args.observed, "expected": args.expected},
             None,
-            {"tv": stats.tv_distance(p, q)},
+            {"tv": tv},
         )
         _emit(rec, args.pretty)
         return EXIT_OK

@@ -1,14 +1,14 @@
 """Concrete realizations of the chain's boundary as sampleable metric data.
 
 An ensemble is a rooted continuum shape S with a base point, a sampling
-measure, and a left/right rule W.  Leaves are sampled as points of S; for
-any two samples the segment from the base point to their branch point is
-comparable against other such segments, and W orients pairs at their branch
-point.  Three segment comparisons classify every triple of samples, which
-yields the triple-type table of a labeled tree.  The tree the samples span
-is built directly: sorted into leaf order by W, the branch points of
+measure, and a left/right rule W.  Leaves are sampled as points of S; of
+S the library asks only the depth of two samples' branch point below the
+base point.  The branch points it compares lie on one root path, where
+equal depth means one vertex, so depths classify every triple of samples,
+which yields the triple-type table of a labeled tree.  The tree the samples
+span is built directly: sorted into leaf order by W, the branch points of
 neighbouring samples form its internal vertices in order, and one stack
-over them places each under its parent.
+over their depths places each under its parent.
 
 Three ensembles are provided: the unit interval with coin-flip orientation
 (the comb limit), infinite fair-coin sequences under longest-common-prefix
@@ -27,6 +27,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from . import didendritic
 from .didendritic import DidendriticArray, TripleType, decode
 from .remy import DEFAULT_RETRY_CAP, DYADIC_BIT_CAP, RetryLimitError
 from .rng import Rng
@@ -51,9 +52,34 @@ class DegenerateSampleError(RuntimeError):
 class Ensemble(Protocol):
     def sample_point(self, rng: Rng) -> "PointHandle": ...
 
-    def compare(self, a, b, c, d) -> SegmentRelation: ...
+    def branch_depth(self, a, b) -> float: ...
 
     def left_value(self, a, b) -> int: ...
+
+
+def _compare(ensemble: Ensemble, a, b, c, d) -> SegmentRelation:
+    """How the base-to-branch-point segment of a, b meets that of c, d.
+
+    The first, at depth d1 on the path to a, is an ancestor of (or equals)
+    the second, at depth d2 on the path to c, when d1 <= d2 and the paths
+    to a and c still agree at d1; one point, or two streams agreeing
+    through the dyadic cap, agree throughout.
+    """
+    depth = ensemble.branch_depth
+    d1, d2 = depth(a, b), depth(c, d)
+    try:
+        cross = depth(a, c) if a is not c else math.inf
+    except DegenerateSampleError:
+        cross = math.inf
+    up = d1 <= d2 and d1 <= cross  # the first segment inside the second
+    down = d2 <= d1 and d2 <= cross
+    if up and down:
+        return SegmentRelation.EQUAL
+    if up:
+        return SegmentRelation.CONTAINED
+    if down:
+        return SegmentRelation.CONTAINS
+    return SegmentRelation.INCOMPARABLE
 
 
 class PointHandle:
@@ -89,24 +115,20 @@ class IntervalPoint(PointHandle):
 class IntervalEnsemble:
     """S = [0, 1] rooted at 0 with uniform samples.
 
-    The branch point of x and y is min(x, y), so segment comparison reduces
-    to comparing minima.  The pair orientation is the fair coin of the point
-    sitting at the branch point (the one with the smaller coordinate): it
-    goes left when its auxiliary is below one half.  The other point's coin
-    is read in reverse so that orientation is antisymmetric.
+    The branch point of x and y is min(x, y), at that depth from the base
+    point.  The pair orientation is the fair coin of the point sitting at
+    the branch point (the one with the smaller coordinate): it goes left
+    when its auxiliary is below one half.  The other point's coin is read in
+    reverse so that orientation is antisymmetric.
     """
 
     def sample_point(self, rng: Rng) -> IntervalPoint:
         return IntervalPoint(x=float(rng.random()), aux=float(rng.random()))
 
-    def compare(
-        self, a: IntervalPoint, b: IntervalPoint, c: IntervalPoint, d: IntervalPoint
-    ) -> SegmentRelation:
-        m1 = min(a.x, b.x)
-        m2 = min(c.x, d.x)
-        if m1 == m2:
-            return SegmentRelation.EQUAL
-        return SegmentRelation.CONTAINED if m1 < m2 else SegmentRelation.CONTAINS
+    def branch_depth(self, a: IntervalPoint, b: IntervalPoint) -> float:
+        return min(a.x, b.x)
+
+    compare = _compare
 
     def left_value(self, a: IntervalPoint, b: IntervalPoint) -> int:
         if a.x < b.x:
@@ -169,7 +191,7 @@ class DyadicEnsemble:
             aux=float(rng.random()),
         )
 
-    def _lcp(self, a: DyadicPoint, b: DyadicPoint) -> int:
+    def branch_depth(self, a: DyadicPoint, b: DyadicPoint) -> int:
         if a is b:
             raise ValueError("need two distinct points")
         for d in range(self.bit_cap):
@@ -179,21 +201,10 @@ class DyadicEnsemble:
             f"streams agree through the {self.bit_cap}-bit cap"
         )
 
-    def compare(
-        self, a: DyadicPoint, b: DyadicPoint, c: DyadicPoint, d: DyadicPoint
-    ) -> SegmentRelation:
-        w1 = a.prefix(self._lcp(a, b))
-        w2 = c.prefix(self._lcp(c, d))
-        if w1 == w2:
-            return SegmentRelation.EQUAL
-        if len(w1) < len(w2) and w2[: len(w1)] == w1:
-            return SegmentRelation.CONTAINED
-        if len(w2) < len(w1) and w1[: len(w2)] == w2:
-            return SegmentRelation.CONTAINS
-        return SegmentRelation.INCOMPARABLE
+    compare = _compare
 
     def left_value(self, a: DyadicPoint, b: DyadicPoint) -> int:
-        return 1 if a.bit(self._lcp(a, b)) == 0 else 0
+        return 1 if a.bit(self.branch_depth(a, b)) == 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,35 +275,19 @@ def random_dyck_path(n: int, rng: Rng) -> ExcursionGrid:
 
 
 class _RangeMin:
-    """Sparse table for range minima with leftmost argmin."""
+    """Sparse table for range minima."""
 
     def __init__(self, values: Sequence[float]) -> None:
-        vals = np.asarray(values, dtype=float)
-        n = len(vals)
-        self._val = [vals]
-        self._arg = [np.arange(n)]
-        k = 1
-        while 2**k <= n:
-            half = 2 ** (k - 1)
-            m = n - 2**k + 1
-            pv, pa = self._val[-1], self._arg[-1]
-            left_v, right_v = pv[:m], pv[half : half + m]
-            take_right = right_v < left_v
-            self._val.append(np.where(take_right, right_v, left_v))
-            self._arg.append(np.where(take_right, pa[half : half + m], pa[:m]))
-            k += 1
+        self._val = [np.asarray(values, dtype=float)]  # row k: minima of 2**k
+        while 2 ** len(self._val) <= len(values):
+            row, half = self._val[-1], 2 ** (len(self._val) - 1)
+            self._val.append(np.minimum(row[:-half], row[half:]))
 
-    def query(self, lo: int, hi: int) -> tuple[float, int]:
-        """(min value, leftmost argmin) over the inclusive window [lo, hi]."""
+    def query(self, lo: int, hi: int) -> float:
+        """Minimum over the inclusive window [lo, hi]."""
         k = (hi - lo + 1).bit_length() - 1
-        j = hi - 2**k + 1
-        v1, a1 = self._val[k][lo], self._arg[k][lo]
-        v2, a2 = self._val[k][j], self._arg[k][j]
-        if v2 < v1:
-            return float(v2), int(a2)
-        if v1 < v2:
-            return float(v1), int(a1)
-        return float(v1), int(min(a1, a2))
+        row = self._val[k]
+        return float(min(row[lo], row[hi - 2**k + 1]))
 
 
 @dataclass(frozen=True)
@@ -353,36 +348,12 @@ class ExcursionEnsemble:
         idx = self.support[rng.integers(len(self.support))]
         return ExcursionPoint(index=int(idx), aux=float(rng.random()))
 
-    def _pair_class(self, a: ExcursionPoint, b: ExcursionPoint) -> tuple[float, int]:
-        lo, hi = sorted((a.index, b.index))
-        return self._rmq.query(lo, hi)
+    def branch_depth(self, a: ExcursionPoint, b: ExcursionPoint) -> float:
+        """The grid minimum between the two indices."""
+        i, j = a.index, b.index
+        return self._rmq.query(i, j) if i <= j else self._rmq.query(j, i)
 
-    def _ancestor_or_equal(self, c1: tuple[float, int], c2: tuple[float, int]) -> bool:
-        h1, p1 = c1
-        h2, p2 = c2
-        if h1 > h2:
-            return False
-        lo, hi = sorted((p1, p2))
-        return self._rmq.query(lo, hi)[0] >= h1
-
-    def compare(
-        self,
-        a: ExcursionPoint,
-        b: ExcursionPoint,
-        c: ExcursionPoint,
-        d: ExcursionPoint,
-    ) -> SegmentRelation:
-        c1 = self._pair_class(a, b)
-        c2 = self._pair_class(c, d)
-        anc12 = self._ancestor_or_equal(c1, c2)
-        anc21 = self._ancestor_or_equal(c2, c1)
-        if anc12 and anc21:
-            return SegmentRelation.EQUAL
-        if anc12:
-            return SegmentRelation.CONTAINED
-        if anc21:
-            return SegmentRelation.CONTAINS
-        return SegmentRelation.INCOMPARABLE
+    compare = _compare
 
     def left_value(self, a: ExcursionPoint, b: ExcursionPoint) -> int:
         return 1 if a.index < b.index else 0
@@ -563,43 +534,21 @@ def sample_points(
     return points
 
 
-def _classify(
-    ensemble: Ensemble, handles: Sequence[PointHandle], key: tuple[int, ...]
-) -> TripleType | bool:
+def _classify(ensemble: Ensemble, handles: Sequence[PointHandle], key: tuple) -> TripleType:
     """Type of the sorted labels `key`, 1-based into `handles`.
 
-    A triple gets its TripleType, a pair whether its first label sits on the
-    left.  Every DegenerateSampleError raised here names `key`.
+    Every DegenerateSampleError raised here names `key`.
     """
+    a, b, c = (handles[x - 1] for x in key)
     try:
-        if len(key) == 2:
-            return ensemble.left_value(handles[key[0] - 1], handles[key[1] - 1]) == 1
-        i, j, k = key
-        a, b, c = handles[i - 1], handles[j - 1], handles[k - 1]
-        EQ, IN = SegmentRelation.EQUAL, SegmentRelation.CONTAINED
-        OUT = SegmentRelation.CONTAINS
-        r_ij_ik = ensemble.compare(a, b, a, c)
-        r_ij_jk = ensemble.compare(a, b, b, c)
-        r_ik_jk = ensemble.compare(a, c, b, c)
-        if r_ij_ik == EQ and r_ij_jk == IN and r_ik_jk == IN:
-            pair, solo = (j, k), i
-        elif r_ij_jk == EQ and r_ij_ik == IN and r_ik_jk == OUT:
-            pair, solo = (i, k), j
-        elif r_ik_jk == EQ and r_ij_ik == OUT and r_ij_jk == OUT:
-            pair, solo = (i, j), k
-        else:
-            raise DegenerateSampleError(
-                f"fails the two-equal-one-larger pattern "
-                f"({r_ij_ik.value}, {r_ij_jk.value}, {r_ik_jk.value})"
-            )
-        p, q = pair
-        if ensemble.left_value(handles[p - 1], handles[q - 1]) != 1:
-            p, q = q, p
-        cherry_on_left = ensemble.left_value(handles[pair[0] - 1], handles[solo - 1]) == 1
+        depth, left = ensemble.branch_depth, ensemble.left_value
+        d01, d02, d12 = depth(a, b), depth(a, c), depth(b, c)
+        if d01 == d02 == d12:
+            raise DegenerateSampleError("its three branch points coincide")
+        ab, ac, bc = left(a, b), left(a, c), left(b, c)
     except DegenerateSampleError as e:
-        kind = "pair" if len(key) == 2 else "triple"
-        raise DegenerateSampleError(f"{kind} {key}: {e}") from None
-    return TripleType((key.index(p), key.index(q)), key.index(solo), cherry_on_left)
+        raise DegenerateSampleError(f"triple {key}: {e}") from None
+    return didendritic._classify(d01, d02, d12, (2 - ab - ac, 1 + ab - bc, ac + bc))
 
 
 def didendritic_array_from_points(
@@ -623,10 +572,9 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
     The points are sorted into leaf order by `left_value`, and
     leaf_order_shape compares the branch points of neighbouring samples.
     The two it compares, of leaves j, j+1 and k, k+1, both lie on the path
-    to leaf k, so in a tree they are comparable and distinct: an EQUAL
-    (three samples meeting at one branch point) or an INCOMPARABLE (an
-    order that is no leaf order) raises DegenerateSampleError naming a
-    triple.  So does any DegenerateSampleError of the queries.
+    to leaf k, so the deeper is the one of greater `branch_depth`; equal
+    depths (three samples meeting at one branch point) raise
+    DegenerateSampleError naming a triple.
     """
     n = len(handles)
 
@@ -638,19 +586,17 @@ def _leaf_order_tree(ensemble: Ensemble, handles: Sequence[PointHandle]) -> Labe
 
     order = sorted(range(n), key=cmp_to_key(before))
     pts = [handles[i] for i in order]
-    # bound once: deeper runs up to 2n times per draw
-    compare = ensemble.compare
-    contains, contained = SegmentRelation.CONTAINS, SegmentRelation.CONTAINED
+    depth = ensemble.branch_depth
+    d = [depth(pts[j], pts[j + 1]) for j in range(n - 1)]
 
     def deeper(j: int, k: int) -> bool:
-        rel = compare(pts[j], pts[j + 1], pts[k], pts[k + 1])
-        if rel is contains or rel is contained:
-            return rel is contains
+        if d[j] != d[k]:
+            return d[j] > d[k]
         key = tuple(sorted(order[x] + 1 for x in (j, j + 1, k + 1)))
         raise DegenerateSampleError(
             f"triple {key}: the branch points of labels "
             f"({order[j] + 1}, {order[j + 1] + 1}) and "
-            f"({order[k] + 1}, {order[k + 1] + 1}) are {rel.value}"
+            f"({order[k] + 1}, {order[k + 1] + 1}) are equal"
         )
 
     return LabeledBinaryTree(BinaryTree(leaf_order_shape(n, deeper)), tuple(i + 1 for i in order))
@@ -764,8 +710,7 @@ class SampleView:
         if p == i or p == j:
             return False
         hi, hj, hp = (self.handles[x - 1] for x in (i, j, p))
-        rel = self.ensemble.compare(hi, hj, hi, hp)
-        return rel in (SegmentRelation.EQUAL, SegmentRelation.CONTAINED)
+        return self.ensemble.branch_depth(hi, hp) >= self.ensemble.branch_depth(hi, hj)
 
 
 def estimate_distance(source, i: int, j: int) -> float:
@@ -835,22 +780,52 @@ class Hierarchy:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def leaf_labels(self) -> list[int]:
-        """Labels of the leaves below, left to right."""
-        out: list[int] = []
+    def _preorder(self) -> list[tuple[float, int | None, int]]:
+        """(height, label, number of children) of each node, in preorder; the
+        queries walk stacks, so a deep hierarchy needs no deep recursion."""
+        out = []
         stack = [self]  # subtrees still to visit, next last
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                out.append(node.label)
+            out.append((node.height, node.label, len(node.children)))
             stack.extend(reversed(node.children))
         return out
 
+    def leaf_labels(self) -> list[int]:
+        """Labels of the leaves below, left to right."""
+        return [label for _, label, kids in self._preorder() if not kids]
+
     def canonical(self):
         """Nested shape with children sorted, heights and sides forgotten."""
-        if self.is_leaf:
-            return ("leaf", self.label)
-        return ("node", tuple(sorted(c.canonical() for c in self.children)))
+        shapes: list[tuple] = []  # of the subtrees after the node reached
+        for _, label, kids in reversed(self._preorder()):
+            if kids:
+                shapes[-kids:] = [("node", tuple(sorted(shapes[-kids:])))]
+            else:
+                shapes.append(("leaf", label))
+        return shapes[0]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # nodes still to write, or text that closes one
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"{type(item).__qualname__}(height={item.height!r}, children=(")
+            stack.append(f"{',' * (len(item.children) == 1)}), label={item.label!r})")
+            for k, child in enumerate(reversed(item.children)):
+                stack += [", ", child] if k else [child]
+        return "".join(out)
 
 
 class UltrametricError(ValueError):
@@ -862,12 +837,14 @@ def ultrametric_tree(
 ) -> Hierarchy:
     """Single-linkage merge tree of an ultrametric distance matrix.
 
-    Validates symmetry, a zero diagonal, nonnegativity, and the strong
-    triangle inequality up to `tol` (finite and nonnegative), naming a
-    violating triple otherwise.  The pairs are sorted once by distance
-    (Gower and Ross, 1969); clusters joined by the pairs of one common
-    height become one node, children ordered by their smallest label, so
-    exact inputs reproduce the unordered shape of the tree they came from.
+    Validates finite entries, symmetry, a zero diagonal, nonnegativity, and
+    the strong triangle inequality up to `tol` (finite and nonnegative),
+    naming a violating triple otherwise.  The pairs are sorted once by
+    distance (Gower and Ross, 1969); clusters joined by the pairs of one
+    common height become one node, children ordered by their smallest label,
+    so exact inputs reproduce the unordered shape of the tree they came
+    from.  Validation costs O(n^2), or O(n^3) when some entry exceeds its
+    merge height by more than `tol`.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -875,21 +852,14 @@ def ultrametric_tree(
     n = d.shape[0]
     if d.ndim != 2 or d.shape != (n, n) or n < 2:
         raise ValueError("need a square matrix of side at least 2")
+    if not np.isfinite(d).all():
+        raise ValueError("distances must be finite")
     if not np.array_equal(d, d.T):
         raise ValueError("matrix is not symmetric")
     if any(d[i, i] != 0 for i in range(n)):
         raise ValueError("diagonal must be zero")
     if d.min() < 0:
         raise ValueError("negative distance")
-    for j in range(n):
-        bound = np.maximum.outer(d[:, j], d[j, :])
-        bad = np.argwhere(d > bound + tol)
-        if bad.size:
-            i, k = bad[0]
-            raise UltrametricError(
-                f"d({i + 1},{k + 1}) = {d[i, k]} exceeds "
-                f"max(d({i + 1},{j + 1}), d({j + 1},{k + 1})) = {bound[i, k]}"
-            )
 
     parent = list(range(n))
 
@@ -899,8 +869,11 @@ def ultrametric_tree(
             x = parent[x]
         return x
 
-    # each cluster's root -> (its smallest label, its node)
-    nodes = {i: (i + 1, Hierarchy(height=0.0, children=(), label=i + 1)) for i in range(n)}
+    # each cluster's root -> (its smallest label, its node, its members)
+    nodes = {i: (i + 1, Hierarchy(height=0.0, children=(), label=i + 1), [i]) for i in range(n)}
+    # The merge heights c are an ultrametric with c <= d, so d <= c + tol on
+    # every pair implies the tolerant inequality; else scan all triples.
+    fits = True
     rows, cols = np.triu_indices(n, 1)
     by_height = np.argsort(d[rows, cols], kind="stable")
     rows, cols = rows[by_height], cols[by_height]
@@ -910,9 +883,23 @@ def ultrametric_tree(
         merged = {r for join in joins if join[0] != join[1] for r in join}
         for a, b in joins:
             parent[find(a)] = find(b)
-        kids: dict[int, list[tuple[int, Hierarchy]]] = {}
+        kids: dict[int, list[tuple[int, Hierarchy, list[int]]]] = {}
         for r in sorted(merged, key=lambda r: nodes[r][0]):
             kids.setdefault(find(r), []).append(nodes.pop(r))
         for root, parts in kids.items():
-            nodes[root] = parts[0][0], Hierarchy(h, tuple(node for _, node in parts))
+            members = parts[0][2]
+            for _, _, part in parts[1:]:
+                fits = fits and d[np.ix_(members, part)].max() <= h + tol
+                members += part
+            nodes[root] = parts[0][0], Hierarchy(h, tuple(kid for _, kid, _ in parts)), members
+    if not fits:
+        for j in range(n):
+            bound = np.maximum.outer(d[:, j], d[j, :])
+            bad = np.argwhere(d > bound + tol)
+            if bad.size:
+                i, k = bad[0]
+                raise UltrametricError(
+                    f"d({i + 1},{k + 1}) = {d[i, k]} exceeds "
+                    f"max(d({i + 1},{j + 1}), d({j + 1},{k + 1})) = {bound[i, k]}"
+                )
     return nodes[find(0)][1]

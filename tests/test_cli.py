@@ -424,6 +424,24 @@ def test_ensemble_sample_excursion_random_grid(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "interval", "--grid", "GRID"],
+        ["--kind", "dyadic", "--dyck-n", "30"],
+        ["--kind", "excursion", "--grid", "GRID", "--dyck-n", "30"],
+    ],
+)
+def test_ensemble_sample_grid_flags_only_with_one_excursion_source(capsys, tmp_path, flags):
+    path = tmp_path / "grid.txt"
+    path.write_text("0 1 2 1 2 1 0\n")
+    argv = ["ensemble-sample", "--m", "2", "--seed", "4"]
+    code, out, err = run(capsys, *argv, *(str(path) if f == "GRID" else f for f in flags))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--grid" in err or "--dyck-n" in err
+
+
 # ---------------------------------------------------------------------------
 # Ultrametric reconstruction
 
@@ -461,6 +479,16 @@ def test_ultrametric_rejects_bad_tolerance(capsys, tmp_path, tol):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_ultrametric_rejects_nonfinite_entries(capsys, tmp_path, bad):
+    path = tmp_path / "d.tsv"
+    path.write_text(f"0\t{bad}\n{bad}\t0\n")
+    code, out, err = run(capsys, "ultrametric", "--in", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
 
 
 def test_ultrametric_too_deep_to_print_exits_invariant(tmp_path):
@@ -559,6 +587,21 @@ def test_stats_tv_mode(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert records(out)[0]["outputs"]["tv"] == 0.25
+
+
+@pytest.mark.parametrize("bad", ["observed", "expected"])
+def test_stats_tv_rejects_law_not_summing_to_one(capsys, tmp_path, bad):
+    laws = {"observed": {"a": "1/2", "b": "1/2"}, "expected": {"a": "1/4", "b": "3/4"}}
+    laws[bad] = {"a": "3"}
+    argv = ["stats", "--mode", "tv"]
+    for name, law in laws.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(law))
+        argv += [f"--{name}", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{bad}.json: probabilities sum to 3, not 1" in err
 
 
 @pytest.mark.parametrize("mode", ["chi2", "tv"])

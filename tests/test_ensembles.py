@@ -19,11 +19,13 @@ from remychain import (
     DyadicPoint,
     ExcursionEnsemble,
     ExcursionGrid,
+    Hierarchy,
     IntervalEnsemble,
     IntervalPoint,
     RetryLimitError,
     SampleView,
     SegmentRelation,
+    TripleType,
     UltrametricError,
     attachment_distance,
     axioms_check,
@@ -417,6 +419,130 @@ def test_builder_matches_decoded_table_and_flags_exactly_the_degenerate_draws():
                     assert got == expected
                 agreed += 1
     assert agreed > 1500 and flagged > 1000
+
+
+# Reference queries that never call branch_depth: each ensemble's four-point
+# segment comparison written out from coordinates, bit prefixes or grid
+# minima, and the classification of a triple by its three comparisons.
+
+
+def _ref_lcp(e: DyadicEnsemble, a: DyadicPoint, b: DyadicPoint) -> int:
+    if a is b:
+        raise ValueError("need two distinct points")
+    for k in range(e.bit_cap):
+        if a.bit(k) != b.bit(k):
+            return k
+    raise DegenerateSampleError("streams agree through the cap")
+
+
+def ref_compare(e, a, b, c, d) -> SegmentRelation:
+    if isinstance(e, IntervalEnsemble):
+        m1, m2 = min(a.x, b.x), min(c.x, d.x)
+        if m1 == m2:
+            return EQ
+        return IN if m1 < m2 else OUT
+    if isinstance(e, DyadicEnsemble):
+        w1 = a.prefix(_ref_lcp(e, a, b))
+        w2 = c.prefix(_ref_lcp(e, c, d))
+        if w1 == w2:
+            return EQ
+        if len(w1) < len(w2) and w2[: len(w1)] == w1:
+            return IN
+        if len(w2) < len(w1) and w1[: len(w2)] == w2:
+            return OUT
+        return SegmentRelation.INCOMPARABLE
+    h = e.grid.heights
+
+    def lowest(i, j):  # the branch class of two indices: (height, leftmost argmin)
+        lo, hi = sorted((i, j))
+        k = min(range(lo, hi + 1), key=lambda x: (h[x], x))
+        return h[k], k
+
+    def ancestor_or_equal(c1, c2):
+        return c1[0] <= c2[0] and lowest(c1[1], c2[1])[0] >= c1[0]
+
+    c1, c2 = lowest(a.index, b.index), lowest(c.index, d.index)
+    up, down = ancestor_or_equal(c1, c2), ancestor_or_equal(c2, c1)
+    if up and down:
+        return EQ
+    if up:
+        return IN
+    return OUT if down else SegmentRelation.INCOMPARABLE
+
+
+def ref_classify(e, handles, key) -> TripleType:
+    i, j, k = key
+    a, b, c = handles[i - 1], handles[j - 1], handles[k - 1]
+    r_ij_ik = ref_compare(e, a, b, a, c)
+    r_ij_jk = ref_compare(e, a, b, b, c)
+    r_ik_jk = ref_compare(e, a, c, b, c)
+    if r_ij_ik == EQ and r_ij_jk == IN and r_ik_jk == IN:
+        pair, solo = (j, k), i
+    elif r_ij_jk == EQ and r_ij_ik == IN and r_ik_jk == OUT:
+        pair, solo = (i, k), j
+    elif r_ik_jk == EQ and r_ij_ik == OUT and r_ij_jk == OUT:
+        pair, solo = (i, j), k
+    else:
+        raise DegenerateSampleError(f"triple {key}: no two-equal-one-larger pattern")
+    p, q = pair
+    if e.left_value(handles[p - 1], handles[q - 1]) != 1:
+        p, q = q, p
+    cherry_on_left = e.left_value(handles[pair[0] - 1], handles[solo - 1]) == 1
+    return TripleType((key.index(p), key.index(q)), key.index(solo), cherry_on_left)
+
+
+def ref_below(e, handles, i, j, p) -> bool:
+    if p in (i, j):
+        return False
+    hi, hj, hp = (handles[x - 1] for x in (i, j, p))
+    return ref_compare(e, hi, hj, hi, hp) in (EQ, IN)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (DegenerateSampleError, ValueError) as err:
+        return type(err)
+
+
+def tie_prone_points(e, rng, count):
+    """Points of `e` that tie often: interval coordinates on a coarse grid,
+    dyadic streams differing only in their first five bits."""
+    if isinstance(e, IntervalEnsemble):
+        return [ipoint(float(rng.integers(1, 5)) / 5, float(rng.random())) for _ in range(count)]
+    if isinstance(e, DyadicEnsemble):
+        return [dpoint([*rng.integers(0, 2, size=5), *[0] * 11]) for _ in range(count)]
+    return [e.point_at(int(rng.integers(len(e.grid.heights)))) for _ in range(count)]
+
+
+def test_depth_queries_match_the_four_point_reference():
+    compared = degenerate = 0
+    for seed in range(40):
+        rng = make_rng(500 + seed)
+        ensembles = [IntervalEnsemble(), DyadicEnsemble(), DyadicEnsemble(bit_cap=3)]
+        ensembles += small_excursions(seed)
+        ensembles.append(ExcursionEnsemble(random_dyck_path(12, rng)))
+        for e in ensembles:
+            pts = tie_prone_points(e, rng, 6)
+            for a, b, c, d in itertools.product(pts[:4], repeat=4):
+                assert outcome(e.compare, a, b, c, d) == outcome(ref_compare, e, a, b, c, d)
+                compared += 1
+            view = SampleView(e, pts)
+            for i, j, p in itertools.permutations(view.labels, 3):
+                assert outcome(view.below, i, j, p) == outcome(ref_below, e, pts, i, j, p)
+            try:
+                expected = {
+                    key: ref_classify(e, pts, key)
+                    for key in itertools.combinations(view.labels, 3)
+                }
+            except DegenerateSampleError:
+                with pytest.raises(DegenerateSampleError):
+                    didendritic_array_from_points(e, pts)
+                degenerate += 1
+                continue
+            arr = didendritic_array_from_points(e, pts)
+            assert {key: arr.entry(*key) for key in expected} == expected
+    assert compared > 70_000 and degenerate > 200
 
 
 def test_nondegenerate_first_draws_keep_the_previous_output_and_stream():
@@ -855,6 +981,85 @@ def test_ultrametric_rejects_bad_tolerance(tol):
     d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="tolerance"):
         ultrametric_tree(d, tol=tol)
+
+
+def comb_matrix(n: int) -> np.ndarray:
+    """d(i, j) = max(i, j) off the diagonal: a comb nesting one level per point."""
+    labels = np.arange(1, n + 1)
+    d = np.maximum.outer(labels, labels).astype(float)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_ultrametric_validates_a_long_comb():
+    n = 1100
+    h = ultrametric_tree(comb_matrix(n))
+    assert h.height == n and h.leaf_labels() == list(range(1, n + 1))
+    bad = comb_matrix(n)
+    bad[0, 1] = bad[1, 0] = 3.0  # above max(d(1, 3), d(3, 2)) = 3 only by 0
+    ultrametric_tree(bad)
+    bad[0, 1] = bad[1, 0] = 3.5
+    violation = r"d\(1,2\) = 3.5 exceeds max\(d\(1,3\), d\(3,2\)\) = 3.0"
+    with pytest.raises(UltrametricError, match=violation):
+        ultrametric_tree(bad)
+
+
+def test_ultrametric_accepts_what_only_the_triple_scan_accepts():
+    # Everything merges at height 1, and d(1, 4) = 1.8 exceeds 1 + tol, yet
+    # every triple meets the strong triangle inequality within tol.
+    d = np.array(
+        [[0, 1, 1.4, 1.8], [1, 0, 1, 1.4], [1.4, 1, 0, 1], [1.8, 1.4, 1, 0]]
+    )
+    h = ultrametric_tree(d, tol=0.5)
+    assert h.height == 1.0 and [c.label for c in h.children] == [1, 2, 3, 4]
+    violation = r"d\(1,3\) = 1.4 exceeds max\(d\(1,2\), d\(2,3\)\) = 1.0"
+    with pytest.raises(UltrametricError, match=violation):
+        ultrametric_tree(d, tol=0.25)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_ultrametric_rejects_nonfinite_entries(bad):
+    d = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        ultrametric_tree(d)
+
+
+def test_hierarchy_queries_on_a_long_comb():
+    n = 1100
+    h, h2 = ultrametric_tree(comb_matrix(n)), ultrametric_tree(comb_matrix(n))
+    assert h == h2 and h is not h2
+    text = repr(h)
+    assert text.startswith(f"Hierarchy(height={float(n)}, children=(Hierarchy(height={n - 1.0},")
+    assert text.count("Hierarchy(") == 2 * n - 1
+    shape, first_kids = h.canonical(), []
+    while shape[0] == "node":
+        (kind, label), shape = shape[1]  # a leaf sorts before a node
+        assert kind == "leaf"
+        first_kids.append(label)
+    assert first_kids == [*range(n, 2, -1), 1] and shape == ("leaf", 2)
+    h3 = ultrametric_tree(comb_matrix(n) * (1 + np.eye(n)))  # same matrix
+    assert h == h3
+    lowered = comb_matrix(n)
+    lowered[0, 1] = lowered[1, 0] = 1.5
+    assert h != ultrametric_tree(lowered)
+
+
+def test_hierarchy_repr_and_equality_on_a_small_tree():
+    leaf = lambda i: Hierarchy(0.0, (), i)
+    h = Hierarchy(2.0, (Hierarchy(1.0, (leaf(1), leaf(2))), leaf(3)))
+    assert repr(h) == (
+        "Hierarchy(height=2.0, children=(Hierarchy(height=1.0, children=("
+        "Hierarchy(height=0.0, children=(), label=1), "
+        "Hierarchy(height=0.0, children=(), label=2)), label=None), "
+        "Hierarchy(height=0.0, children=(), label=3)), label=None)"
+    )
+    assert repr(Hierarchy(1.0, (leaf(1),))).endswith("label=1),), label=None)")
+    assert h == Hierarchy(2.0, (Hierarchy(1.0, (leaf(1), leaf(2))), leaf(3)))
+    assert h != Hierarchy(2.0, (leaf(3), Hierarchy(1.0, (leaf(1), leaf(2)))))
+    assert h != Hierarchy(2.0, (Hierarchy(1.0, (leaf(1), leaf(2))), leaf(4)))
+    assert h != Hierarchy(2.0, (Hierarchy(1.5, (leaf(1), leaf(2))), leaf(3)))
+    assert h.canonical() == ("node", (("leaf", 3), ("node", (("leaf", 1), ("leaf", 2)))))
+    assert h != "not a hierarchy"
 
 
 def test_attachment_distance_is_half_nearest():
