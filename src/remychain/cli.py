@@ -18,14 +18,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import didendritic, ensembles, kernel, remy, stats, trees
-from .rng import Rng, make_rng, split_rng
+from .rng import Rng, make_rng
 
 ENV_SEED = "REMYCHAIN_SEED"
 
@@ -41,43 +40,44 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class ExperimentRecord:
-    """One emitted result; wall time stays out of the replayable payload."""
-
-    command: str
-    params: dict[str, Any]
-    seed: int | None
-    outputs: dict[str, Any]
-    replica: int | None = None
-
-    def payload(self) -> dict[str, Any]:
-        body: dict[str, Any] = {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-        }
-        if self.replica is not None:
-            body["replica"] = self.replica
-        body["outputs"] = self.outputs
-        return body
+# How dispatch reports each failure: (exception class, exit code, stderr
+# prefix), first match wins.  The library's invariant errors subclass
+# ValueError, so their rows come before the ValueError row, which also
+# covers ParseError and TreeInvariantError.  A CliError carries its own
+# code.  Any other exception propagates.
+FAILURES: tuple[tuple[type[Exception], int | None, str], ...] = (
+    (remy.RetryLimitError, EXIT_INVARIANT, "sampling failed"),
+    (didendritic.DidendriticError, EXIT_INVARIANT, "decode failed"),
+    (ensembles.UltrametricError, EXIT_INVARIANT, "ultrametric reconstruction failed"),
+    (RecursionError, EXIT_INVARIANT, "output nests too deep to write out"),
+    (CliError, None, "error"),
+    (ValueError, EXIT_USAGE, "error"),
+)
 
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit(rec: ExperimentRecord, pretty: bool, out=None) -> None:
-    out = out or sys.stdout
-    if pretty:
-        bits = [f"{rec.command}"]
-        if rec.replica is not None:
-            bits.append(f"[{rec.replica}]")
-        for k, v in rec.outputs.items():
-            bits.append(f"{k}={v}")
-        print(" ".join(str(b) for b in bits), file=out)
-    else:
-        print(json.dumps(rec.payload(), sort_keys=True, default=str), file=out)
+def _emit(
+    args,
+    params: dict[str, Any],
+    outputs: dict[str, Any],
+    seed: int | None = None,
+    replica: int | None = None,
+) -> None:
+    """Print one result record; wall time stays out of the replayable bytes."""
+    if args.pretty:
+        bits = [args.command]
+        if replica is not None:
+            bits.append(f"[{replica}]")
+        bits += [f"{k}={v}" for k, v in outputs.items()]
+        print(" ".join(bits))
+        return
+    body = {"command": args.command, "params": params, "seed": seed, "outputs": outputs}
+    if replica is not None:
+        body["replica"] = replica
+    print(json.dumps(body, sort_keys=True, default=str))
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -120,19 +120,17 @@ def _parse_labeled_arg(text: str) -> trees.LabeledBinaryTree:
 # Command implementations
 
 
-def _replicas(
-    args, command: str, params: dict[str, Any], draw: Callable[[Rng], dict[str, Any]]
-) -> int:
-    """Emit one record of draw(rng) per replica, each on its own seeded stream."""
+def _replicas(args, params: dict[str, Any], draw: Callable[[Rng], dict[str, Any]]) -> int:
+    """Emit one record of draw(rng) per replica, each on its own seeded stream.
+
+    Streams are spawned one at a time, as the same children one spawn of
+    all --reps would give, so a huge count costs nothing up front.
+    """
     seed = _resolve_seed(args)
     params = {**params, "reps": args.reps}
-    for r, rng in enumerate(split_rng(make_rng(seed), args.reps)):
-        try:
-            outputs = draw(rng)
-        except remy.RetryLimitError as e:
-            print(f"sampling failed: {e}", file=sys.stderr)
-            return EXIT_INVARIANT
-        _emit(ExperimentRecord(command, params, seed, outputs, replica=r), args.pretty)
+    parent = make_rng(seed)
+    for r in range(args.reps):
+        _emit(args, params, draw(parent.spawn(1)[0]), seed, replica=r)
     return EXIT_OK
 
 
@@ -140,7 +138,7 @@ def cmd_chain(args) -> int:
     def draw(rng: Rng) -> dict[str, Any]:
         return {"tree": trees.encode_tree(remy.remy_chain(args.n, rng))}
 
-    return _replicas(args, "chain", {"n": args.n}, draw)
+    return _replicas(args, {"n": args.n}, draw)
 
 
 def cmd_bridge(args) -> int:
@@ -149,7 +147,7 @@ def cmd_bridge(args) -> int:
     def draw(rng: Rng) -> dict[str, Any]:
         return {"path": [trees.encode_tree(t) for t in remy.finite_bridge(target, rng)]}
 
-    return _replicas(args, "bridge", {"target": trees.encode_tree(target)}, draw)
+    return _replicas(args, {"target": trees.encode_tree(target)}, draw)
 
 
 def cmd_spine(args) -> int:
@@ -160,14 +158,14 @@ def cmd_spine(args) -> int:
             "tree": trees.encode_tree(remy.spine_tree(state)),
         }
 
-    return _replicas(args, "spine", {"n": args.n}, draw)
+    return _replicas(args, {"n": args.n}, draw)
 
 
 def cmd_dyadic(args) -> int:
     def draw(rng: Rng) -> dict[str, Any]:
         return {"tree": trees.encode_tree(remy.dyadic_bridge_sample(args.n, rng))}
 
-    return _replicas(args, "dyadic", {"n": args.n}, draw)
+    return _replicas(args, {"n": args.n}, draw)
 
 
 def cmd_kernel(args) -> int:
@@ -175,17 +173,15 @@ def cmd_kernel(args) -> int:
     t = _parse_tree_arg(args.t)
     if t.n_leaves < s.n_leaves:
         raise CliError("target has fewer leaves than source")
-    rec = ExperimentRecord(
-        "kernel",
+    _emit(
+        args,
         {"s": trees.encode_tree(s), "t": trees.encode_tree(t)},
-        None,
         {
             "count": kernel.count_embeddings(s, t),
             "transition_prob": frac_str(kernel.transition_prob(s, t)),
             "martin_kernel": frac_str(kernel.martin_kernel(s, t)),
         },
     )
-    _emit(rec, args.pretty)
     return EXIT_OK
 
 
@@ -200,13 +196,7 @@ def cmd_embeddings(args) -> int:
         ]
     else:
         outputs["enumeration_skipped"] = True
-    rec = ExperimentRecord(
-        "embeddings",
-        {"s": trees.encode_tree(s), "t": trees.encode_tree(t)},
-        None,
-        outputs,
-    )
-    _emit(rec, args.pretty)
+    _emit(args, {"s": trees.encode_tree(s), "t": trees.encode_tree(t)}, outputs)
     return EXIT_OK
 
 
@@ -220,13 +210,11 @@ def cmd_check_harmonic(args) -> int:
             total += 1
             if not kernel.check_harmonic(kernel.harmonic_h_complete, s):
                 failures.append(trees.encode_tree(s))
-    rec = ExperimentRecord(
-        "check-harmonic",
+    _emit(
+        args,
         {"max_leaves": args.max_leaves},
-        None,
         {"trees_checked": total, "all_pass": not failures, "failures": failures},
     )
-    _emit(rec, args.pretty)
     return EXIT_OK if not failures else EXIT_INVARIANT
 
 
@@ -249,13 +237,11 @@ def cmd_kernel_limit(args) -> int:
                 "abs_error": float(abs(val - limit)),
             }
         )
-    rec = ExperimentRecord(
-        "kernel-limit",
+    _emit(
+        args,
         {"s": trees.encode_tree(s), "kmax": args.kmax},
-        None,
         {"limit": frac_str(limit), "values": rows},
     )
-    _emit(rec, args.pretty)
     return EXIT_OK
 
 
@@ -264,49 +250,21 @@ def cmd_encode(args) -> int:
     if lt.n_leaves < 3:
         raise CliError("didendritic encoding needs at least three leaves")
     arr = didendritic.encode(lt)
-    rec = ExperimentRecord(
-        "encode",
-        {"t": trees.encode_labeled_tree(lt)},
-        None,
-        {"array": didendritic.to_lines(arr)},
-    )
-    _emit(rec, args.pretty)
+    _emit(args, {"t": trees.encode_labeled_tree(lt)}, {"array": didendritic.to_lines(arr)})
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    text = _read_text(args.infile)
-    try:
-        arr = didendritic.from_lines(text.splitlines())
-        lt = didendritic.decode(arr)
-    except didendritic.DidendriticError as e:
-        print(f"decode failed: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    rec = ExperimentRecord(
-        "decode",
-        {"in": args.infile},
-        None,
-        {"tree": trees.encode_labeled_tree(lt)},
-    )
-    _emit(rec, args.pretty)
+    arr = didendritic.from_lines(_read_text(args.infile).splitlines())
+    lt = didendritic.decode(arr)
+    _emit(args, {"in": args.infile}, {"tree": trees.encode_labeled_tree(lt)})
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    text = _read_text(args.infile)
-    try:
-        arr = didendritic.from_lines(text.splitlines())
-    except didendritic.DidendriticError as e:
-        print(f"malformed array: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+    arr = didendritic.from_lines(_read_text(args.infile).splitlines())
     violations = didendritic.axioms_check(arr)
-    rec = ExperimentRecord(
-        "check",
-        {"in": args.infile},
-        None,
-        {"violations": violations, "ok": not violations},
-    )
-    _emit(rec, args.pretty)
+    _emit(args, {"in": args.infile}, {"violations": violations, "ok": not violations})
     return EXIT_OK if not violations else EXIT_INVARIANT
 
 
@@ -337,14 +295,14 @@ def cmd_ensemble_sample(args) -> int:
         return {"tree": trees.encode_labeled_tree(lt)}
 
     params = {"kind": args.kind, "m": args.m, "grid": args.grid, "dyck_n": args.dyck_n}
-    return _replicas(args, "ensemble-sample", params, draw)
+    return _replicas(args, params, draw)
 
 
 def cmd_dyck(args) -> int:
     def draw(rng: Rng) -> dict[str, Any]:
         return {"grid": ensembles.format_grid(ensembles.random_dyck_path(args.n, rng))}
 
-    return _replicas(args, "dyck", {"n": args.n}, draw)
+    return _replicas(args, {"n": args.n}, draw)
 
 
 def _hierarchy_json(node: ensembles.Hierarchy) -> dict[str, Any]:
@@ -365,22 +323,8 @@ def cmd_ultrametric(args) -> int:
     ]
     if not rows or any(len(r) != len(rows) for r in rows):
         raise CliError("matrix must be square TSV")
-    try:
-        tree = ensembles.ultrametric_tree(np.array(rows), tol=args.tol)
-    except ensembles.UltrametricError as e:
-        print(f"ultrametric reconstruction failed: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
-    try:
-        rec = ExperimentRecord(
-            "ultrametric",
-            {"in": args.infile, "tol": args.tol},
-            None,
-            {"hierarchy": _hierarchy_json(tree)},
-        )
-        _emit(rec, args.pretty)
-    except RecursionError:
-        print("ultrametric hierarchy nests too deep to write out", file=sys.stderr)
-        return EXIT_INVARIANT
+    tree = ensembles.ultrametric_tree(np.array(rows), tol=args.tol)
+    _emit(args, {"in": args.infile, "tol": args.tol}, {"hierarchy": _hierarchy_json(tree)})
     return EXIT_OK
 
 
@@ -409,19 +353,15 @@ def cmd_stats(args) -> int:
     if args.mode == "chi2":
         observed = _load_law(args.observed)
         expected = _load_probs(args.expected)
-        try:
-            report = stats.chi_square(observed, expected, args.significance)
-        except ValueError as e:
-            raise CliError(str(e)) from e
-        rec = ExperimentRecord(
-            "stats",
+        report = stats.chi_square(observed, expected, args.significance)
+        _emit(
+            args,
             {
                 "mode": "chi2",
                 "observed": args.observed,
                 "expected": args.expected,
                 "significance": args.significance,
             },
-            None,
             {
                 "statistic": report.statistic,
                 "threshold": report.threshold,
@@ -430,7 +370,6 @@ def cmd_stats(args) -> int:
                 "passed": report.passed,
             },
         )
-        _emit(rec, args.pretty)
         return EXIT_OK if report.passed else EXIT_STAT
     if args.mode == "tv":
         p = _load_probs(args.observed)
@@ -440,13 +379,8 @@ def cmd_stats(args) -> int:
             total = sum(law.values())
             if total != 1:
                 raise CliError(f"{path}: probabilities sum to {total}, not 1")
-        rec = ExperimentRecord(
-            "stats",
-            {"mode": "tv", "observed": args.observed, "expected": args.expected},
-            None,
-            {"tv": tv},
-        )
-        _emit(rec, args.pretty)
+        params = {"mode": "tv", "observed": args.observed, "expected": args.expected}
+        _emit(args, params, {"tv": tv})
         return EXIT_OK
     raise CliError(f"unknown stats mode {args.mode!r}")
 
@@ -582,12 +516,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         code = args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (trees.ParseError, trees.TreeInvariantError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(cls for cls, _, _ in FAILURES) as e:
+        exit_code, prefix = next(row[1:] for row in FAILURES if isinstance(e, row[0]))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return e.code if exit_code is None else exit_code
     finally:
         elapsed = time.monotonic() - t0
         print(f"wall-time: {elapsed:.3f}s", file=sys.stderr)

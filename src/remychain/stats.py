@@ -35,6 +35,11 @@ def _check_nonnegative(law: Mapping, what: str) -> None:
             raise ValueError(f"{what} probability of {key!r} is negative: {prob}")
 
 
+def _check_support(extra: list) -> None:
+    if extra:
+        raise ValueError(f"observed outcomes outside the expected support: {extra[:5]}")
+
+
 def tv_distance(p: Mapping, q: Mapping) -> float:
     """Total variation distance between two laws on a shared countable space.
 
@@ -71,17 +76,16 @@ def chi_square(
     ascending expected probability and merged greedily until every pooled
     cell expects at least five counts; the statistic is compared against the
     upper `significance` quantile of the chi-square law with (cells - 1)
-    degrees of freedom.  Observed outcomes missing from `expected` are
-    rejected, since any mass outside the support already falsifies the law,
-    and so is a negative expected probability.  The quantile inverts the
-    closed-form chi-square tail for integer dof by bisection, in the standard
-    library alone.
+    degrees of freedom.  Observed outcomes missing from `expected`, and
+    positive counts on outcomes of expected probability 0, are rejected,
+    since any mass outside the support already falsifies the law; so is a
+    negative expected probability.  The quantile inverts the closed-form
+    chi-square tail for integer dof by bisection, in the standard library
+    alone.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie strictly between 0 and 1, not {significance}")
-    extra = [k for k in observed if k not in expected]
-    if extra:
-        raise ValueError(f"observed outcomes outside the expected support: {extra[:5]}")
+    _check_support([k for k in observed if k not in expected])
     _check_nonnegative(expected, "expected")
     total_prob = sum(Fraction(v) for v in expected.values())
     if abs(total_prob - 1) > Fraction(1, 10**12):
@@ -89,6 +93,7 @@ def chi_square(
     for key, count in observed.items():
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
             raise ValueError(f"observed count of {key!r} is not a non-negative integer: {count!r}")
+    _check_support([k for k, count in observed.items() if count and not Fraction(expected[k])])
     n = sum(observed.values())
     if n <= 0:
         raise ValueError("need at least one observation")

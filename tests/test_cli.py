@@ -1,12 +1,16 @@
 """Command line interface: outputs, exit codes, seeds, file round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remychain import catalan, kernel, martin_kernel, remy, transition_prob, decode_tree
 from remychain.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STAT, EXIT_USAGE, dispatch
@@ -63,6 +67,17 @@ def test_sampling_failure_exits_invariant(capsys, monkeypatch):
 
     monkeypatch.setattr(remy, "dyadic_bridge_sample", exhausted)
     code, out, err = run(capsys, "dyadic", "--n", "5")
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "sampling failed" in err
+    assert "Traceback" not in err
+
+
+def test_huge_reps_count_fails_on_the_first_replica(capsys):
+    # A one-step grid has no five distinct points, so the first replica
+    # fails; no stream for the other replicas is spawned ahead of it.
+    argv = ["ensemble-sample", "--kind", "excursion", "--dyck-n", "1", "--m", "5"]
+    code, out, err = run(capsys, *argv, "--reps", "99999999999999999999")
     assert code == EXIT_INVARIANT
     assert out == ""
     assert "sampling failed" in err
@@ -346,6 +361,15 @@ def test_decode_rejects_table_no_tree_has(capsys, tmp_path):
     assert records(out)[0]["outputs"]["violations"]
 
 
+def test_check_on_malformed_array_is_decode_failure(capsys, tmp_path):
+    path = tmp_path / "malformed.txt"
+    path.write_text("1 2 x ab_c\n")
+    code, out, err = run(capsys, "check", "--in", str(path))
+    assert code == EXIT_INVARIANT
+    assert out == ""
+    assert "decode failed: line 1: bad labels" in err
+
+
 def test_encode_needs_three_leaves(capsys):
     code, _, err = run(capsys, "encode", "--t", "((1)(2))")
     assert code == EXIT_USAGE
@@ -577,6 +601,18 @@ def test_stats_chi2_rejects_bad_significance(capsys, tmp_path, significance):
     assert "significance" in err
 
 
+def test_stats_chi2_rejects_counts_on_zero_probability_cells(capsys, tmp_path):
+    obs = tmp_path / "obs.json"
+    exp = tmp_path / "exp.json"
+    obs.write_text(json.dumps({"a": 5, "b": 50, "c": 45}))
+    exp.write_text(json.dumps({"a": "0", "b": "1/2", "c": "1/2"}))
+    argv = ["stats", "--mode", "chi2", "--observed", str(obs), "--expected", str(exp)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "outside the expected support: ['a']" in err
+
+
 def test_stats_tv_mode(capsys, tmp_path):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
@@ -678,3 +714,146 @@ def test_embeddings_command_lists_all_maps(capsys):
     # Each map covers the three words of the two-leaf source exactly once.
     for pairs in embs:
         assert sorted(p[0] for p in pairs) == ["0", "1", "e"]
+
+
+# ---------------------------------------------------------------------------
+# Argv fuzz: every argv ends in a documented exit code and strict JSON lines
+
+FUZZ_FILES = {
+    "array": "1 2 3 ab_c\n",
+    "array-labels": "1 2 x ab_c\n",
+    "array-fields": "1 2 3\n",
+    "array-repeat": "1 1 2 ab_c\n",
+    "array-token": "1 2 3 zz\n",
+    "array-contradiction": "1 2 3 ab_c\n2 1 3 ab_c\n",
+    "array-no-tree": "1 2 3 c_ab\n1 2 4 ab_c\n1 3 4 ab_c\n2 3 4 ab_c\n",
+    "tsv": "0\t0.2\t0.6\n0.2\t0\t0.6\n0.6\t0.6\t0\n",
+    "tsv-violation": "0\t0.2\t0.6\n0.2\t0\t0.3\n0.6\t0.3\t0\n",
+    "tsv-ragged": "0\t1\n1\n",
+    "tsv-words": "0\tx\nx\t0\n",
+    "tsv-nan": "0\tnan\nnan\t0\n",
+    "tsv-asymmetric": "0\t1\n2\t0\n",
+    "grid": "0 1 2 1 2 1 0\n",
+    "grid-step": "0 2 0\n",
+    "grid-negative": "0 -1 0\n",
+    "grid-inf": "0 inf 0\n",
+    "grid-words": "up down\n",
+    "counts": '{"a": 501, "b": 499}',
+    "counts-skewed": '{"a": 900, "b": 100}',
+    "counts-zero-cell": '{"a": 5, "b": 50, "c": 45}',
+    "counts-bad": '{"a": 1.5, "b": -2}',
+    "probs": '{"a": "1/2", "b": "1/2"}',
+    "probs-zero-cell": '{"a": "0", "b": "1/2", "c": "1/2"}',
+    "probs-negative": '{"a": "-1/2", "b": "3/2"}',
+    "probs-unreadable": '{"a": "1/2", "b": "1/0"}',
+    "json-nan": '{"a": NaN, "b": Infinity}',
+    "json-list": "[1, 2]",
+    "json-truncated": '{"a": ',
+    "empty": "",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"missing": str(root / "missing.txt"), "directory": str(root)}
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    (root / "utf8").write_bytes(b"1 2 3 \xff\xfe\n")
+    paths["utf8"] = str(root / "utf8")
+    return paths
+
+
+def _sizes(hi=12):
+    # Mostly in range, now and then negative or not a number.
+    return st.sampled_from([*map(str, range(hi + 1)), "-1", "x", ""])
+
+
+def _file(files, kind=""):
+    """A path from the fuzz set, of the given kind or, half the time, any."""
+    named = st.sampled_from(sorted(k for k in files if k.startswith(kind))).map(files.get)
+    return st.one_of(named, st.sampled_from(sorted(files)).map(files.get))
+
+
+def _maybe(draw, flag, values):
+    return [flag, draw(values)] if draw(st.booleans()) else []
+
+
+_TREES = st.sampled_from(
+    ["(()())", "((()())())", "(((()())())(()()))", GOLDEN_TARGET, "()", "((", "(()()", "x", ""]
+)
+_LABELED = st.sampled_from(
+    ["(((1)(3))((2)(4)))", "(((1)(2))(3))", "((1)(2))", "(((1)(1))(3))", "(((1)(2))(5))", "((1)"]
+)
+_SEEDED = {"chain", "bridge", "spine", "dyadic", "dyck", "ensemble-sample"}
+_COMMANDS = {
+    "chain": lambda draw, files: ["--n", draw(_sizes())],
+    "bridge": lambda draw, files: ["--target", draw(_TREES)],
+    "spine": lambda draw, files: ["--n", draw(_sizes())],
+    "dyadic": lambda draw, files: ["--n", draw(_sizes())],
+    "dyck": lambda draw, files: ["--n", draw(_sizes())],
+    "kernel": lambda draw, files: ["--s", draw(_TREES), "--t", draw(_TREES)],
+    "embeddings": lambda draw, files: ["--s", draw(_TREES), "--t", draw(_TREES)],
+    # check-harmonic takes seconds from 10 leaves on, so the fuzz stops at 7.
+    "check-harmonic": lambda draw, files: ["--max-leaves", draw(_sizes(7))],
+    "kernel-limit": lambda draw, files: ["--s", draw(_TREES), "--kmax", draw(_sizes())],
+    "encode": lambda draw, files: ["--t", draw(_LABELED)],
+    "decode": lambda draw, files: ["--in", draw(_file(files, "array"))],
+    "check": lambda draw, files: ["--in", draw(_file(files, "array"))],
+    "ensemble-sample": lambda draw, files: [
+        "--kind",
+        draw(st.sampled_from(["interval", "dyadic", "excursion", "bogus"])),
+        "--m",
+        draw(_sizes()),
+        *_maybe(draw, "--grid", _file(files, "grid")),
+        *_maybe(draw, "--dyck-n", _sizes()),
+    ],
+    "ultrametric": lambda draw, files: [
+        "--in",
+        draw(_file(files, "tsv")),
+        *_maybe(draw, "--tol", st.sampled_from(["0", "1e-9", "0.5", "nan", "-1", "x"])),
+    ],
+    "stats": lambda draw, files: [
+        "--mode",
+        draw(st.sampled_from(["chi2", "tv", "bogus"])),
+        "--observed",
+        draw(st.one_of(_file(files, "counts"), _file(files, "probs"))),
+        "--expected",
+        draw(_file(files, "probs")),
+        *_maybe(draw, "--significance", st.sampled_from(["0.01", "1e-6", "0", "2", "nan"])),
+    ],
+    "no-such-command": lambda draw, files: [],
+}
+
+
+def _argv(draw, files) -> list[str]:
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command, *_COMMANDS[command](draw, files)]
+    # The seed and replica flags are usage errors on the other commands.
+    if command in _SEEDED or draw(st.integers(0, 9)) == 0:
+        argv += _maybe(draw, "--seed", st.sampled_from(["0", "7", "123456", "-3", "x"]))
+        argv += _maybe(draw, "--reps", st.sampled_from(["1", "2", "3", "0", "x"]))
+    if draw(st.integers(0, 4)) == 0:
+        argv.append("--pretty")
+    return argv
+
+
+def _strict_json(line: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly_with_strict_json(fuzz_files, data):
+    argv = _argv(data.draw, fuzz_files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT, EXIT_STAT), (argv, err.getvalue())
+    if "--pretty" not in argv:
+        for line in out.getvalue().splitlines():
+            _strict_json(line)

@@ -101,6 +101,15 @@ def test_chi_square_rejects_outside_support():
         chi_square({"a": 5, "z": 1}, {"a": Fraction(1)})
 
 
+def test_chi_square_rejects_counts_on_zero_probability_cells():
+    # Pooling would fold cell "a" into a neighbour and pass (statistic 1.0).
+    expected = {"a": 0, "b": Fraction(1, 2), "c": Fraction(1, 2)}
+    with pytest.raises(ValueError, match="support.*'a'"):
+        chi_square({"a": 5, "b": 50, "c": 45}, expected)
+    report = chi_square({"a": 0, "b": 50, "c": 50}, expected)
+    assert report.passed and report.statistic == 0.0
+
+
 def test_chi_square_rejects_bad_probabilities():
     with pytest.raises(ValueError, match="sum"):
         chi_square({"a": 5}, {"a": Fraction(1, 2)})
