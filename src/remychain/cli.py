@@ -81,25 +81,26 @@ def _emit(
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        env, source = os.environ.get(ENV_SEED, "0"), ENV_SEED
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as e:
             raise CliError(f"bad {ENV_SEED} value: {env}") from e
-    return 0
+    if seed < 0:
+        raise CliError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {'stdin' if path == '-' else path}: {e}") from e
 
 
 def _parse_tree_arg(text: str) -> trees.BinaryTree:

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
+from .remy import _aggregate, _grow_tree, forward_step_law
 from .rng import Rng
 from .trees import (
-    ALEPH,
     BinaryTree,
     Vertex,
     catalan,
@@ -90,24 +90,15 @@ def count_embeddings(s: BinaryTree, t: BinaryTree) -> int:
     return rows[0][0]
 
 
-def span_words(words: Sequence[Sequence[int]]) -> BinaryTree:
-    """Plane tree spanned by nonempty, distinct, prefix-free bit words.
-
-    Sorted, the words are the leaves left to right, and the branch point of
-    two neighbours sits at the depth of their longest common prefix.
-    """
-    ws = sorted(words)
-    depth = [_common_prefix_len(a, b) for a, b in zip(ws, ws[1:])]
-    return BinaryTree(leaf_order_shape(len(ws), lambda j, k: depth[j] > depth[k]))
-
-
 def spanned_subtree_with_map(
     t: BinaryTree, leaf_set: Iterable[Vertex]
 ) -> tuple[BinaryTree, dict[Vertex, Vertex]]:
     """Plane tree spanned by a nonempty set of leaves of t.
 
     Returns the spanned shape together with the map from each chosen leaf of
-    t to the leaf of the shape it becomes.
+    t to the leaf of the shape it becomes.  Sorted, the chosen leaves are the
+    leaves left to right, and two neighbours branch at the depth of their
+    longest common prefix.
     """
     chosen = sorted(set(leaf_set))
     if not chosen:
@@ -115,7 +106,8 @@ def spanned_subtree_with_map(
     for v in chosen:
         if v not in t.words or v + (0,) in t.words:
             raise ValueError(f"{word_str(v)} is not a leaf of t")
-    shape = span_words(chosen)
+    depth = [_common_prefix_len(a, b) for a, b in zip(chosen, chosen[1:])]
+    shape = BinaryTree(leaf_order_shape(len(chosen), lambda j, k: depth[j] > depth[k]))
     return shape, dict(zip(chosen, shape.leaves))
 
 
@@ -186,6 +178,13 @@ def transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
     return Fraction(math.factorial(n), denom) * count_embeddings(s, t)
 
 
+def backward_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
+    """P{backward step from t lands on s} = N(s, t) / (m + 2)."""
+    if t.level != s.level + 1:
+        raise ValueError("leaf counts must differ by exactly one")
+    return Fraction(count_embeddings(s, t), s.n_leaves + 1)
+
+
 def martin_kernel(s: BinaryTree, t: BinaryTree) -> Fraction:
     """K(s, t), the transition probability normalized by the chain's law at t.
 
@@ -233,18 +232,6 @@ def complete_tree(k: int) -> BinaryTree:
     return BinaryTree(shape)
 
 
-def kappa_shape_prob(s: BinaryTree) -> Fraction:
-    """Probability that m+1 independent fair-coin sequences span the shape s.
-
-    (m+1)! 2^{-m} prod_v (2^{gamma_v - 1} - 1)^{-1}, the product running over
-    the m internal vertices with gamma_v leaves below v.
-    """
-    m = s.level
-    if m < 1:
-        raise ValueError("need at least two leaves")
-    return Fraction(math.factorial(m + 1), 2**m * _split_product(s))
-
-
 def _split_product(s: BinaryTree) -> int:
     """prod_v (2^{#s(v)-1} - 1) over the internal vertices v of s."""
     return math.prod(
@@ -252,16 +239,12 @@ def _split_product(s: BinaryTree) -> int:
     )
 
 
-def kernel_limit_complete(s: BinaryTree) -> Fraction:
-    """lim_k K(s, complete_tree(k)) = catalan(m) * kappa_shape_prob(s)."""
-    return catalan(s.level) * kappa_shape_prob(s)
-
-
 def harmonic_h_complete(s: BinaryTree) -> Fraction:
-    """The space-time harmonic function attached to the complete-tree limit.
+    """The space-time harmonic function of the complete-tree boundary point.
 
-    (2m-1)!! * prod_v (2^{#s(v)-1} - 1)^{-1} over internal vertices v, where
-    #s(v) counts leaves below v.  Normalized so the three-vertex tree gets 1.
+    h(s) = lim_k K(s, complete_tree(k))
+         = (2m-1)!! * prod_v (2^{#s(v)-1} - 1)^{-1} over internal vertices v,
+    where #s(v) counts leaves below v.  The three-vertex tree gets 1.
     """
     m = s.level
     if m < 1:
@@ -269,12 +252,21 @@ def harmonic_h_complete(s: BinaryTree) -> Fraction:
     return Fraction(double_factorial_odd(m), _split_product(s))
 
 
+kernel_limit_complete = harmonic_h_complete
+
+
+def kappa_shape_prob(s: BinaryTree) -> Fraction:
+    """Probability that m+1 independent fair-coin sequences span the shape s.
+
+    The harmonic function over the Catalan number: h(s) / C_m.
+    """
+    return harmonic_h_complete(s) / catalan(s.level)
+
+
 def check_harmonic(
     h: Callable[[BinaryTree], Fraction], s: BinaryTree
 ) -> bool:
     """Does the one-step growth law from s preserve h exactly?"""
-    from .remy import forward_step_law  # local import to avoid a cycle
-
     law = forward_step_law(s)
     return sum(p * h(t) for t, p in law.items()) == h(s)
 
@@ -320,8 +312,6 @@ def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
     Picks a vertex with the exact weights above, then clones it and
     reattaches its subtree to a fair-coin side, as in the plain growth step.
     """
-    from .remy import _grow_tree
-
     probs = [float(w) for w in _selection_weights(s)]
     i = int(rng.choice(len(probs), p=probs))
     side = int(rng.integers(2))
@@ -330,8 +320,6 @@ def h_transform_step_complete(s: BinaryTree, rng: Rng) -> BinaryTree:
 
 def h_transform_step_law(s: BinaryTree) -> dict[BinaryTree, Fraction]:
     """Exact one-step law of h_transform_step_complete."""
-    from .remy import _aggregate, _grow_tree
-
     return _aggregate(
         (_grow_tree(s, i, side), w / 2)
         for i, w in enumerate(_selection_weights(s))
@@ -340,13 +328,7 @@ def h_transform_step_law(s: BinaryTree) -> dict[BinaryTree, Fraction]:
 
 
 def h_transform_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
-    """Closed form for the conditioned one-step probability from s to t.
-
-    (1/2) * prod_u (2^{#s(u)-1} - 1) / prod_v (2^{#t(v)-1} - 1) * N(s, t),
-    with u and v running over the internal vertices of s and t.
-    """
+    """Doob transform of one growth step by h: P(s, t) h(t) / h(s)."""
     if t.level != s.level + 1:
         raise ValueError("t must have exactly one more leaf than s")
-    if s.level < 1:
-        raise ValueError("need at least two leaves")
-    return Fraction(_split_product(s), 2 * _split_product(t)) * count_embeddings(s, t)
+    return transition_prob(s, t) * harmonic_h_complete(t) / harmonic_h_complete(s)

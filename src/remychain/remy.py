@@ -19,7 +19,8 @@ from functools import partial
 from itertools import compress, count, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .kernel import count_embeddings, span_words
+import numpy as np
+
 from .rng import Rng
 from .trees import (
     ALEPH,
@@ -28,6 +29,7 @@ from .trees import (
     LabeledBinaryTree,
     Vertex,
     _subtree_end,
+    leaf_order_shape,
     word_str,
 )
 
@@ -235,13 +237,6 @@ def backward_step_law(t: BinaryTree) -> dict[BinaryTree, Fraction]:
     return _aggregate((BinaryTree(_prune(t.shape, i)), p) for i in _leaf_positions(t))
 
 
-def backward_transition_prob(s: BinaryTree, t: BinaryTree) -> Fraction:
-    """P{backward step from t lands on s} = N(s, t) / (m + 2)."""
-    if t.level != s.level + 1:
-        raise ValueError("leaf counts must differ by exactly one")
-    return Fraction(count_embeddings(s, t), s.n_leaves + 1)
-
-
 def deterministic_unlabel_step(lt: LabeledBinaryTree) -> LabeledBinaryTree:
     """Remove the highest-labeled leaf; remaining labels ride along."""
     if lt.n_leaves < 3:
@@ -360,21 +355,25 @@ def dyadic_bridge_sample(
 ) -> BinaryTree:
     """Shape spanned by n+1 independent fair-coin sequences.
 
-    Streams are materialized to `bit_cap` bits; a pair still identical at
-    that length has one member redrawn (probability 2^-bit_cap per pair),
-    at most `retry_cap` times per stream.
+    Streams are materialized to `bit_cap` bits, each packed into an int
+    with its first bit most significant; a pair still identical at that
+    length has one member redrawn (probability 2^-bit_cap per pair), at most
+    `retry_cap` times per stream.  Sorted, the ints are the leaves left to
+    right, and two neighbours branch at their common-prefix length.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    pad = -bit_cap % 8
 
-    def draw() -> tuple[int, ...]:
-        return tuple(rng.integers(0, 2, size=bit_cap).tolist())
+    def draw() -> int:
+        bits = np.packbits(rng.integers(0, 2, size=bit_cap))
+        return int.from_bytes(bits.tobytes(), "big") >> pad
 
     streams = [draw() for _ in range(n + 1)]
     redraws = [0] * (n + 1)
     while True:
         # redraw the first stream that repeats an earlier one
-        first: dict[tuple[int, ...], int] = {}
+        first: dict[int, int] = {}
         clash = next(
             (i for i, s in enumerate(streams) if first.setdefault(s, i) != i), None
         )
@@ -387,4 +386,6 @@ def dyadic_bridge_sample(
                 f"{clash + 1} ({sum(redraws) - 1} redraws in all)"
             )
         streams[clash] = draw()
-    return span_words(streams)
+    streams.sort()
+    depth = [bit_cap - (a ^ b).bit_length() for a, b in zip(streams, streams[1:])]
+    return BinaryTree(leaf_order_shape(n + 1, lambda j, k: depth[j] > depth[k]))

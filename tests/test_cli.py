@@ -125,6 +125,21 @@ def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
+def test_negative_seed_flag_is_usage_error(capsys):
+    code, out, err = run(capsys, "chain", "--n", "3", "--seed", "-3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--seed" in err and "-3" in err
+
+
+def test_negative_env_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("REMYCHAIN_SEED", "-4")
+    code, out, err = run(capsys, "ensemble-sample", "--kind", "interval", "--m", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "REMYCHAIN_SEED" in err and "-4" in err
+
+
 def test_replicas_are_distinct_streams(capsys):
     _, out, _ = run(capsys, "chain", "--n", "9", "--seed", "5", "--reps", "3")
     recs = records(out)
@@ -683,6 +698,32 @@ def test_stats_missing_file_is_usage_error(capsys, tmp_path):
         str(tmp_path / "nope2.json"),
     )
     assert code == EXIT_USAGE
+
+
+def test_non_utf8_input_file_is_usage_error_naming_it(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0 1 0\n")
+    good = tmp_path / "probs.json"
+    good.write_text(json.dumps({"a": "1/2", "b": "1/2"}))
+    argvs = [
+        ["decode", "--in", str(bad)],
+        ["ultrametric", "--in", str(bad)],
+        ["stats", "--mode", "tv", "--observed", str(bad), "--expected", str(good)],
+        ["ensemble-sample", "--kind", "excursion", "--grid", str(bad), "--m", "2"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert f"cannot read {bad}" in err, argv
+
+
+def test_non_utf8_stdin_is_usage_error_naming_it(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "utf-8"))
+    code, out, err = run(capsys, "decode", "--in", "-")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cannot read stdin" in err
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from remychain import (
     double_factorial_odd,
     enumerate_embeddings,
     enumerate_trees,
+    forward_step_law,
     h_transform_step_complete,
     h_transform_step_law,
     h_transform_transition_prob,
@@ -351,3 +352,39 @@ def test_dp_matches_oracle_on_random_pairs(n, seed):
     p = transition_prob(s, t) if s.n_leaves <= t.n_leaves else None
     if p is not None:
         assert 0 <= p <= 1
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed forms for the complete-tree point, from leaf words
+
+
+def split_product(s):
+    """prod_v (2^{#s(v)-1} - 1) over internal v, #s(v) counting leaves below v."""
+    return math.prod(
+        2 ** (sum(w[: len(v)] == v for w in s.leaves) - 1) - 1 for v in s.internal
+    )
+
+
+def test_h_transform_transition_prob_closed_form():
+    for m in range(1, 6):
+        targets = [(t, split_product(t)) for t in enumerate_trees(m + 1)]
+        for s in enumerate_trees(m):
+            split_s = split_product(s)
+            for t, split_t in targets:
+                expect = Fraction(split_s, 2 * split_t) * count_embeddings(s, t)
+                assert h_transform_transition_prob(s, t) == expect
+
+
+def test_kappa_shape_prob_closed_form():
+    for m in range(1, 7):
+        for s in enumerate_trees(m):
+            expect = Fraction(math.factorial(m + 1), 2**m * split_product(s))
+            assert kappa_shape_prob(s) == expect
+
+
+def test_h_transform_step_law_is_doob_transform_of_forward_law():
+    for m in range(1, 7):
+        for s in enumerate_trees(m):
+            hs = harmonic_h_complete(s)
+            doob = {t: p * harmonic_h_complete(t) / hs for t, p in forward_step_law(s).items()}
+            assert h_transform_step_law(s) == doob

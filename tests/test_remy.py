@@ -50,7 +50,9 @@ from remychain import (
     spine_tree,
     transition_prob,
 )
+from remychain.remy import DYADIC_BIT_CAP
 from remychain.stats import chi_square, empirical_law
+from remychain.trees import BinaryTree, _common_prefix_len, leaf_order_shape
 from conftest import relabel, three_sigma, tree_shape_canonical
 
 
@@ -398,6 +400,55 @@ def test_dyadic_bridge_matches_kappa(rng, n):
 def test_dyadic_bridge_tiny_bit_cap_exhausts_retries(rng):
     with pytest.raises(RetryLimitError):
         dyadic_bridge_sample(5, rng, bit_cap=1, retry_cap=5)
+
+
+def span_words(words):
+    """Plane tree spanned by distinct, prefix-free bit words."""
+    ws = sorted(words)
+    depth = [_common_prefix_len(a, b) for a, b in zip(ws, ws[1:])]
+    return BinaryTree(leaf_order_shape(len(ws), lambda j, k: depth[j] > depth[k]))
+
+
+def tuple_stream_bridge(n, rng, bit_cap, retry_cap):
+    """The dyadic bridge on bit tuples, spanned word by word: the oracle."""
+
+    def draw():
+        return tuple(rng.integers(0, 2, size=bit_cap).tolist())
+
+    streams = [draw() for _ in range(n + 1)]
+    redraws = [0] * (n + 1)
+    while True:
+        first = {}
+        clash = next(
+            (i for i, s in enumerate(streams) if first.setdefault(s, i) != i), None
+        )
+        if clash is None:
+            return span_words(streams)
+        redraws[clash] += 1
+        if redraws[clash] > retry_cap:
+            raise RetryLimitError(
+                f"stream collisions persist past {retry_cap} redraws of stream "
+                f"{clash + 1} ({sum(redraws) - 1} redraws in all)"
+            )
+        streams[clash] = draw()
+
+
+def test_dyadic_bridge_matches_tuple_stream_oracle():
+    outcomes = set()
+    for seed in range(400):
+        bit_cap = (1, 2, 3, 4, DYADIC_BIT_CAP)[seed % 5]
+        n, retry_cap = 1 + seed // 5 % 30, seed % 4
+        results = []
+        for sampler in (dyadic_bridge_sample, tuple_stream_bridge):
+            rng = make_rng(seed)
+            try:
+                out = sampler(n, rng, bit_cap=bit_cap, retry_cap=retry_cap)
+            except RetryLimitError as e:
+                out = str(e)
+            results.append((out, rng.bit_generator.state))
+        assert results[0] == results[1], (seed, n, bit_cap, retry_cap)
+        outcomes.add(type(results[0][0]))
+    assert outcomes == {BinaryTree, str}
 
 
 # ---------------------------------------------------------------------------
