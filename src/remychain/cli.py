@@ -14,6 +14,7 @@ failure, 3 statistical-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from . import didendritic, ensembles, kernel, remy, stats, trees
 from .rng import Rng, make_rng
 
 ENV_SEED = "REMYCHAIN_SEED"
+_JSON = json.JSONEncoder(sort_keys=True, default=str)  # one for every record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,7 +79,7 @@ def _emit(
     body = {"command": args.command, "params": params, "seed": seed, "outputs": outputs}
     if replica is not None:
         body["replica"] = replica
-    print(json.dumps(body, sort_keys=True, default=str))
+    print(_JSON.encode(body))
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -511,11 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache  # built at the first dispatch, not at import
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
     except tuple(cls for cls, _, _ in FAILURES) as e:
         exit_code, prefix = next(row[1:] for row in FAILURES if isinstance(e, row[0]))

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .rng import Rng
+from .rng import _BLOCK, Rng, _check_int64, _integers
 from .trees import (
     ALEPH,
     ROOT,
@@ -34,6 +34,11 @@ from .trees import (
 )
 
 T = TypeVar("T")
+
+# Draw bounds for _integers, row k for step k: 4k + 6 moves, -k, (slot, bit).
+_FORWARD = np.arange(6, 4 * _BLOCK + 6, 4)
+_DESCENT = np.arange(0, -_BLOCK, -1)
+_SPINE = np.stack((np.arange(1, _BLOCK + 1), np.full(_BLOCK, 2)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +110,11 @@ def remy_chain(n: int, rng: Rng) -> BinaryTree:
     """Run the chain from the three-vertex tree to n+1 leaves (n >= 1)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    t = ALEPH
-    for _ in range(n - 1):
-        t = remy_forward_step(t, rng)
-    return t
+    _check_int64(n, 4 * n - 2)
+    shape = ALEPH.shape
+    for h in _integers(rng, _FORWARD, n - 1):
+        shape = _grow(shape, h >> 1, h & 1)[0]
+    return BinaryTree(shape)
 
 
 def _aggregate(outcomes: Iterable[tuple[T, Fraction]]) -> dict[T, Fraction]:
@@ -163,10 +169,13 @@ ALEPH_LABELED = (LabeledBinaryTree(ALEPH, (1, 2)), LabeledBinaryTree(ALEPH, (2, 
 def labeled_chain(n: int, rng: Rng) -> LabeledBinaryTree:
     if n < 1:
         raise ValueError("n must be at least 1")
-    lt = ALEPH_LABELED[rng.integers(2)]
-    for _ in range(n - 1):
-        lt = labeled_forward_step(lt, rng)
-    return lt
+    _check_int64(n, 4 * n - 2)
+    draws = _integers(rng, _FORWARD, n, -4)
+    shape, labels = ALEPH.shape, list(ALEPH_LABELED[next(draws)].leaf_labels)
+    for label, h in enumerate(draws, start=3):
+        shape, pos = _grow(shape, h >> 1, h & 1)
+        labels.insert(shape.count(0, 0, pos), label)
+    return LabeledBinaryTree(BinaryTree(shape), tuple(labels))
 
 
 def labeled_forward_step_law(
@@ -269,8 +278,8 @@ def finite_bridge(target: BinaryTree, rng: Rng) -> list[BinaryTree]:
         raise ValueError("target needs at least two leaves")
     path = [target]
     t = target
-    while t.n_leaves > 2:
-        t = backward_step(t, rng)
+    for h in _integers(rng, _DESCENT, t.n_leaves - 2, t.n_leaves):
+        t = BinaryTree(_prune(t.shape, next(islice(_leaf_positions(t), h, None))))
         path.append(t)
     path.reverse()
     return path
@@ -330,9 +339,10 @@ def spine_tree(state: SpineState) -> BinaryTree:
 def spine_chain(n: int, rng: Rng) -> SpineState:
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_int64(n, n)
     tosses: list[int] = []
-    for _ in range(n):
-        _insert_toss(tosses, rng)
+    for slot, bit in _integers(rng, _SPINE, n):
+        tosses.insert(slot, bit)
     return SpineState(tuple(tosses))
 
 
@@ -365,11 +375,13 @@ def dyadic_bridge_sample(
         raise ValueError("n must be at least 1")
     pad = -bit_cap % 8
 
-    def draw() -> int:
-        bits = np.packbits(rng.integers(0, 2, size=bit_cap))
-        return int.from_bytes(bits.tobytes(), "big") >> pad
+    def draw(rows: int) -> list[int]:
+        bits = np.packbits(rng.integers(0, 2, size=(rows, bit_cap)), axis=1)
+        return [int.from_bytes(row, "big") >> pad for row in bits.tolist()]
 
-    streams = [draw() for _ in range(n + 1)]
+    _check_int64(n, n + 1)
+    step = max(1, _BLOCK // max(1, bit_cap))  # streams per numpy call
+    streams = [s for k in range(0, n + 1, step) for s in draw(min(step, n + 1 - k))]
     redraws = [0] * (n + 1)
     while True:
         # redraw the first stream that repeats an earlier one
@@ -385,7 +397,7 @@ def dyadic_bridge_sample(
                 f"stream collisions persist past {retry_cap} redraws of stream "
                 f"{clash + 1} ({sum(redraws) - 1} redraws in all)"
             )
-        streams[clash] = draw()
+        streams[clash] = draw(1)[0]
     streams.sort()
     depth = [bit_cap - (a ^ b).bit_length() for a, b in zip(streams, streams[1:])]
     return BinaryTree(leaf_order_shape(n + 1, lambda j, k: depth[j] > depth[k]))

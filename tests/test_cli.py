@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remychain import catalan, kernel, martin_kernel, remy, transition_prob, decode_tree
+from remychain import catalan, cli, kernel, martin_kernel, remy, transition_prob, decode_tree
 from remychain.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STAT, EXIT_USAGE, dispatch
 
 
@@ -84,9 +85,78 @@ def test_huge_reps_count_fails_on_the_first_replica(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["chain", "spine", "dyadic"])
+def test_size_past_int64_exits_usage_at_once(capsys, command):
+    start = time.monotonic()
+    code, out, err = run(capsys, command, "--n", "100000000000000000000", "--seed", "1")
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "n = 100000000000000000000 is too large" in err
+    assert "Traceback" not in err
+
+
 def test_every_command_reports_wall_time(capsys):
     _, _, err = run(capsys, "chain", "--n", "3", "--seed", "1")
     assert "wall-time" in err
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("REMYCHAIN_SEED", "12")
+    argvs = [
+        ["chain", "--n", "7", "--seed", "4", "--reps", "2"],
+        ["chain", "--n", "7", "--no-such-flag"],
+        ["spine", "--n", "9", "--seed", "2", "--pretty"],
+        ["kernel", "--s", "(()())", "--t", "((()())())"],
+        ["chain", "--n", "7"],
+    ]
+    reused = [run(capsys, *argv)[:2] for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv)[:2])
+    assert reused == fresh
+    assert [code for code, _ in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+
+
+def test_dispatch_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for seed in range(20):
+        assert run(capsys, "chain", "--n", "3", "--seed", str(seed))[0] == EXIT_OK
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()  # the public builder stays fresh
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import remychain.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(remy.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +51,8 @@ from remychain import (
     spine_tree,
     transition_prob,
 )
-from remychain.remy import DYADIC_BIT_CAP
+from remychain.remy import ALEPH_LABELED, DYADIC_BIT_CAP
+from remychain.rng import _BLOCK
 from remychain.stats import chi_square, empirical_law
 from remychain.trees import BinaryTree, _common_prefix_len, leaf_order_shape
 from conftest import relabel, three_sigma, tree_shape_canonical
@@ -449,6 +451,121 @@ def test_dyadic_bridge_matches_tuple_stream_oracle():
         assert results[0] == results[1], (seed, n, bit_cap, retry_cap)
         outcomes.add(type(results[0][0]))
     assert outcomes == {BinaryTree, str}
+
+
+# ---------------------------------------------------------------------------
+# The draw contract: a sampler that draws a block of bounds per numpy call
+# equals the loop of its scalar one-step function, draw for draw
+
+
+def remy_chain_fold(n, rng):
+    t = ALEPH
+    for _ in range(n - 1):
+        t = remy_forward_step(t, rng)
+    return t
+
+
+def labeled_chain_fold(n, rng):
+    lt = ALEPH_LABELED[rng.integers(2)]
+    for _ in range(n - 1):
+        lt = labeled_forward_step(lt, rng)
+    return lt
+
+
+def bridge_target(n):
+    return remy_chain(n, make_rng(n))
+
+
+def finite_bridge_fold(target, rng):
+    path = [target]
+    while path[-1].n_leaves > 2:
+        path.append(backward_step(path[-1], rng))
+    return path[::-1]
+
+
+def spine_chain_fold(n, rng):
+    state = SpineState(())
+    for _ in range(n):
+        state = spine_bridge_step(state, rng)
+    return state
+
+
+# 30 is the pinned CLI size; _BLOCK + 3 takes a second numpy call.
+DRAW_SIZES = [1, 2, 30, _BLOCK + 3]
+
+
+def seeds_for(n):
+    return range(40) if n < _BLOCK else range(1)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize(
+    "sampler, fold",
+    [
+        (remy_chain, remy_chain_fold),
+        (labeled_chain, labeled_chain_fold),
+        (lambda n, rng: finite_bridge(bridge_target(n), rng),
+         lambda n, rng: finite_bridge_fold(bridge_target(n), rng)),
+        (spine_chain, spine_chain_fold),
+    ],
+    ids=["remy_chain", "labeled_chain", "finite_bridge", "spine_chain"],
+)
+def test_batched_sampler_equals_its_one_step_fold(sampler, fold, n):
+    for seed in seeds_for(n):
+        results = []
+        for run in (sampler, fold):
+            rng = make_rng(seed)
+            results.append((run(n, rng), rng.bit_generator.state))
+        assert results[0] == results[1], (seed, n)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_dyadic_bridge_equals_one_draw_per_stream(n):
+    outcomes = set()
+    for seed in seeds_for(n):
+        # the default caps, then 1-4 bits with retries that run out
+        for bit_cap, retry_cap in ((DYADIC_BIT_CAP, 100), (1 + seed % 4, seed % 3)):
+            results = []
+            for sampler in (dyadic_bridge_sample, tuple_stream_bridge):
+                rng = make_rng(seed)
+                try:
+                    out = sampler(n, rng, bit_cap=bit_cap, retry_cap=retry_cap)
+                except RetryLimitError as e:
+                    out = str(e)
+                results.append((out, rng.bit_generator.state))
+            assert results[0] == results[1], (seed, n, bit_cap, retry_cap)
+            outcomes.add(type(results[0][0]))
+    assert str in outcomes and BinaryTree in outcomes
+
+
+def test_numpy_draws_an_array_of_bounds_like_scalar_calls():
+    # The samplers rely on this: if a numpy release breaks it, this fails
+    # before any sampler's draws change.
+    k = np.arange(3000)
+    cases = [
+        4 * k + 2,  # forward moves
+        3001 - k[:2999],  # backward leaves
+        np.stack((k + 1, np.full(3000, 2)), axis=1).ravel(),  # spine slots and bits
+        np.array([1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**62, 2**63 - 1]),
+    ]
+    for seed in range(10):
+        for bounds in cases:
+            batched, scalar = make_rng(seed), make_rng(seed)
+            assert batched.integers(bounds).tolist() == [int(scalar.integers(h)) for h in bounds]
+            assert batched.bit_generator.state == scalar.bit_generator.state
+        for bit_cap in (1, 2, 3, 5, 7, 33, 64):
+            batched, scalar = make_rng(seed), make_rng(seed)
+            rows = batched.integers(0, 2, size=(7, bit_cap)).tolist()
+            assert rows == [scalar.integers(0, 2, size=bit_cap).tolist() for _ in range(7)]
+            assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "sampler", [remy_chain, labeled_chain, spine_chain, dyadic_bridge_sample]
+)
+def test_size_past_int64_is_rejected_naming_n(sampler):
+    with pytest.raises(ValueError, match=r"n = 100000000000000000000 is too large"):
+        sampler(10**20, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
